@@ -4,7 +4,8 @@ A Crank-Nicolson scheme integrates
 
     dW/dtbar = alpha dW/dp + (d/2) d2W/dp2 + g d(p W)/dp
 
-column-by-column in p (x enters only as a parameter), then the remain
+along p, where x enters only as a parameter: the momentum factors of a
+thin SVD of the initial Wigner matrix are propagated, then the remain
 probability is the 2 pi weighted trapezoidal overlap with the initial
 Wigner function.  This route shares nothing with the closed-form and
 characteristic-function evaluations and serves as their cross-check.
@@ -22,6 +23,10 @@ from scipy.sparse.linalg import splu
 from .errors import ConfigError, GridUnderflowError
 from .phasespace import (CatState, FockSuperposition, FPParams, GaussianState,
                          MotionalState)
+
+# Singular values of the initial Wigner matrix below this fraction of the
+# largest are dropped; the overlap changes by at most that relative amount.
+_SVD_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,11 @@ def _osc_wavenumber(state: MotionalState) -> float:
 
 def propagate(w0: np.ndarray, p: np.ndarray, fp: FPParams,
               n_steps: int | None = None, osc_k: float = 0.0) -> np.ndarray:
-    """Crank-Nicolson integration of the momentum drift/diffusion PDE."""
+    """Crank-Nicolson integration of the momentum drift/diffusion PDE.
+
+    Each row of `w0` is a function of p on the grid `p`; all rows are
+    propagated together and returned in the same layout.
+    """
     hp = p[1] - p[0]
     if n_steps is None:
         # Crank-Nicolson is unconditionally stable, but its phase error grows
@@ -184,7 +193,7 @@ def propagate(w0: np.ndarray, p: np.ndarray, fp: FPParams,
     lhs = splu((ident - 0.5 * dt * op).tocsc())
     rhs = (ident + 0.5 * dt * op).tocsr()
 
-    w = w0.T.copy()  # shape (np_, nx): solve all x columns at once
+    w = w0.T.copy()  # shape (np_, rows): solve all rows at once
     for _ in range(n_steps):
         w = lhs.solve(rhs @ w)
         w[0, :] = 0.0
@@ -192,56 +201,63 @@ def propagate(w0: np.ndarray, p: np.ndarray, fp: FPParams,
     return w.T
 
 
+def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
+    w = np.full(len(axis), axis[1] - axis[0])
+    w[[0, -1]] *= 0.5
+    return w
+
+
 def overlap_pde(state: MotionalState, fp: FPParams,
                 grid: GridSpec | None = None,
                 n_steps: int | None = None,
                 mass_tol: float = 1e-6) -> float:
     """Remain probability via grid propagation of the Wigner function."""
-    if grid is None:
-        grid = default_grid(state, fp)
-    x, p = grid.axes()
-    hx = x[1] - x[0]
-    hp = p[1] - p[0]
-    w0 = initial_wigner(state, x, p)
-    mass = float(np.trapezoid(np.trapezoid(w0, dx=hp, axis=1), dx=hx))
-    if mass < 1.0 - mass_tol:
-        raise GridUnderflowError(
-            f"initial Wigner mass {mass:.8f} below tolerance; enlarge grid")
-    wt = propagate(w0, p, fp, n_steps=n_steps, osc_k=_osc_wavenumber(state))
-    mass_t = float(np.trapezoid(np.trapezoid(wt, dx=hp, axis=1), dx=hx))
-    if mass_t < 1.0 - 1e-4:
-        raise GridUnderflowError(
-            f"propagated Wigner mass {mass_t:.8f}; state left the grid")
-    return float(2.0 * math.pi
-                 * np.trapezoid(np.trapezoid(w0 * wt, dx=hp, axis=1), dx=hx))
+    return overlap_pde_batch(state, [fp], grid=grid, n_steps=n_steps,
+                             mass_tol=mass_tol)[0]
 
 
 def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
+                      grid: GridSpec | None = None,
+                      n_steps: int | None = None,
                       mass_tol: float = 1e-6) -> list[float]:
     """Remain probabilities for several drift/diffusion settings.
 
-    The grid and initial Wigner function are built once, sized for the
-    worst-case drift and diffusion in the batch.
+    The grid and initial Wigner function are built once; without an explicit
+    grid it is sized for the worst-case drift and diffusion in the batch.
+    The PDE acts on p only, so with the thin SVD W0 = U S V only the
+    momentum factors V are propagated, W(t) = U S V(t), and the trapezoidal
+    overlap and mass contract exactly through the small factor matrices.
     """
     if not fps:
         return []
-    worst = FPParams(alpha=max(abs(f.alpha) for f in fps),
-                     d=max(f.d for f in fps),
-                     tbar=max(f.tbar for f in fps),
-                     g=0.0)
-    grid = default_grid(state, worst)
+    if grid is None:
+        worst = FPParams(alpha=max(abs(f.alpha) for f in fps),
+                         d=max(f.d for f in fps),
+                         tbar=max(f.tbar for f in fps),
+                         g=0.0)
+        grid = default_grid(state, worst)
     x, p = grid.axes()
-    hx = x[1] - x[0]
-    hp = p[1] - p[0]
+    wx = _trapezoid_weights(x)
+    wp = _trapezoid_weights(p)
     w0 = initial_wigner(state, x, p)
-    mass = float(np.trapezoid(np.trapezoid(w0, dx=hp, axis=1), dx=hx))
+    mass = float(wx @ w0 @ wp)
     if mass < 1.0 - mass_tol:
         raise GridUnderflowError(
             f"initial Wigner mass {mass:.8f} below tolerance; enlarge grid")
-    out = []
+    u, s, v = np.linalg.svd(w0, full_matrices=False)
+    rank = int(np.count_nonzero(s > _SVD_RTOL * s[0]))
+    us = u[:, :rank] * s[:rank]
+    v = v[:rank]
+    gram_x = us.T @ (wx[:, None] * us)
+    mass_x = wx @ us
     osc_k = _osc_wavenumber(state)
+    out = []
     for fp in fps:
-        wt = propagate(w0, p, fp, osc_k=osc_k)
-        out.append(float(2.0 * math.pi * np.trapezoid(
-            np.trapezoid(w0 * wt, dx=hp, axis=1), dx=hx)))
+        vt = propagate(v, p, fp, n_steps=n_steps, osc_k=osc_k)
+        mass_t = float(mass_x @ (vt @ wp))
+        if mass_t < 1.0 - 1e-4:
+            raise GridUnderflowError(
+                f"propagated Wigner mass {mass_t:.8f}; state left the grid")
+        out.append(float(2.0 * math.pi
+                         * np.sum(gram_x * ((v * wp) @ vt.T))))
     return out

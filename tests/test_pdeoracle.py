@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from recoilspec import (CatState, FPParams, FockSuperposition, GaussianState,
-                        GridUnderflowError, overlap_after, overlap_pde)
-from recoilspec.pdeoracle import GridSpec, initial_wigner
+                        GridUnderflowError, overlap_after, overlap_pde,
+                        overlap_pde_batch)
+from recoilspec.pdeoracle import (GridSpec, _osc_wavenumber, default_grid,
+                                  initial_wigner, propagate)
 
 
 def test_vacuum_point():
@@ -64,3 +66,28 @@ def test_wigner_normalization_all_families():
         w = initial_wigner(state, x, p)
         mass = np.trapezoid(np.trapezoid(w, p, axis=1), x)
         assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("state, min_rank", [
+    (GaussianState.vacuum(), 1),
+    (GaussianState.squeezed(1.44), 1),
+    (CatState(2.0), 2),
+    (FockSuperposition.fock(2), 3),
+    (GaussianState.squeezed(0.5, phase=math.pi / 5), 2),
+], ids=["vacuum", "squeezed", "cat", "fock2", "rotated-squeezed"])
+def test_low_rank_batch_matches_full_column_propagation(state, min_rank):
+    """Propagating the SVD momentum factors and contracting them gives the
+    overlap of propagating every x column of the Wigner matrix."""
+    fps = [FPParams(alpha=0.4, d=0.1, tbar=1.0),
+           FPParams(alpha=0.3, d=0.0, tbar=1.0, g=0.05)]
+    x, p = default_grid(state, FPParams(alpha=0.4, d=0.1, tbar=1.0)).axes()
+    w0 = initial_wigner(state, x, p)
+    sv = np.linalg.svd(w0, compute_uv=False)
+    assert np.count_nonzero(sv > 1e-13 * sv[0]) >= min_rank
+    full = []
+    for fp in fps:
+        wt = propagate(w0, p, fp, osc_k=_osc_wavenumber(state))
+        full.append(2.0 * math.pi * np.trapezoid(
+            np.trapezoid(w0 * wt, dx=p[1] - p[0], axis=1), dx=x[1] - x[0]))
+    assert overlap_pde_batch(state, fps) == pytest.approx(full, rel=0,
+                                                          abs=1e-12)
