@@ -157,13 +157,14 @@ def propagate(w0: np.ndarray, p: np.ndarray, fp: FPParams,
     hp = p[1] - p[0]
     if n_steps is None:
         # Crank-Nicolson is unconditionally stable, but its phase error grows
-        # as (k alpha dt)^3 per step on fringes of wavenumber k.
+        # as (k alpha dt)^3 per step on fringes of wavenumber k, so the
+        # accumulated overlap error scales as dt^2.
         adv = abs(fp.alpha) + abs(fp.g) * float(np.max(np.abs(p)))
         dt = 0.02
         if adv > 0:
             dt = min(dt, 12.0 * hp / adv)
             if osc_k > 0.0:
-                dt = min(dt, 1.0 / (30.0 * osc_k * adv))
+                dt = min(dt, 1.0 / (60.0 * osc_k * adv))
         n_steps = max(100, int(math.ceil(fp.tbar / dt)))
     dt = fp.tbar / n_steps
 

@@ -39,6 +39,26 @@ def test_fock_superposition_reference_point():
         overlap_after(f24, fp), abs=1e-4)
 
 
+def test_cat_small_diffusion_edge_batch():
+    """The grid is sized for (1.1, 0.3); at (0.9, 0) the fringes need the
+    finer time step to meet the oracle tolerance."""
+    cat = CatState(2.0)
+    fps = [FPParams(alpha=1.1, d=0.3, tbar=1.0),
+           FPParams(alpha=0.9, d=0.0, tbar=1.0)]
+    for fp, got in zip(fps, overlap_pde_batch(cat, fps)):
+        assert got == pytest.approx(overlap_after(cat, fp), abs=1e-4)
+
+
+def test_fock_superposition_diffusion_free_batch():
+    """Diffusion-free settings up to alpha = 2 in a grid sized for
+    (2, 0.3), as in acceptance criterion 5."""
+    f24 = FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(3) / 2})
+    fps = [FPParams(alpha=a, d=0.0, tbar=1.0) for a in (1.0, 1.5, 2.0)]
+    fps.append(FPParams(alpha=2.0, d=0.3, tbar=1.0))
+    for fp, got in zip(fps, overlap_pde_batch(f24, fps)):
+        assert got == pytest.approx(overlap_after(f24, fp), abs=1e-4)
+
+
 def test_damped_gaussian_point():
     sq = GaussianState.squeezed(0.7)
     fp = FPParams(alpha=0.8, d=0.2, tbar=1.0, g=0.05)
