@@ -90,7 +90,8 @@ def two_point_shift(state: GaussianState, pulse: PulseParams,
         raise ConfigError("p0 must lie in (0, 1)")
 
     def alpha_d(delta: float):
-        coeffs = compute_coefficients(pulse.with_detuning(delta))
+        coeffs = compute_coefficients(pulse.with_detuning(delta),
+                                      with_damping=False)
         d = 0.0 if neglect_diffusion else coeffs.d_pp
         return coeffs.alpha_p, d
 

@@ -79,6 +79,31 @@ def test_shift_linear_in_damping(dipole_pulse):
         assert dp2 == pytest.approx(2 * dp1, rel=1e-12)
 
 
+def test_shift_solves_for_damping_once(dipole_pulse, monkeypatch):
+    import recoilspec.doppler as doppler
+    import recoilspec.recoil as recoil
+
+    calls = []
+    solve = recoil.doppler_damping
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(recoil, "doppler_damping", counting)
+    monkeypatch.setattr(doppler, "doppler_damping", counting)
+    state = GaussianState.squeezed(0.5)
+    res = two_point_shift(state, dipole_pulse)
+    assert len(calls) == 1
+
+    # the detuning scan reads only alpha_p and D_pp, so computing g there
+    # too, as the shift once did, gives the same result to the last bit
+    coefficients = recoil.compute_coefficients
+    monkeypatch.setattr(doppler, "compute_coefficients",
+                        lambda p, **kw: coefficients(p))
+    assert two_point_shift(state, dipole_pulse) == res
+
+
 def test_flat_flank_raises(dipole_pulse):
     with pytest.raises(FlatFlankError):
         two_point_shift(GaussianState.vacuum(), dipole_pulse,
