@@ -191,9 +191,19 @@ def correlation_yy(p: PulseParams, t: float, t_prime: float,
     return float(prop.corr_yy(np.array([t]), np.array([t_prime]))[0])
 
 
+@lru_cache(maxsize=16)
+def _leggauss(n: int):
+    """Reference Gauss-Legendre nodes and weights on [-1, 1], read-only
+    because every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_grid(p: PulseParams, n: int = 64):
     """Gauss-Legendre nodes and weights on [0, tau_p]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     half = 0.5 * p.pulse_duration
     return half * (x + 1.0), half * w
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import PulseParams, _cached_propagator, gauss_legendre_grid
+from .bloch import (PulseParams, _cached_propagator, _leggauss,
+                    gauss_legendre_grid)
 from .errors import QuadratureConvergenceError, StepSizeError
 
 _SQRT2 = math.sqrt(2.0)
@@ -80,7 +81,7 @@ def _raw_integrals(p: PulseParams, n: int):
     i_one = float(np.sum(w_out * sy_out))
 
     # Inner nodes: map the reference rule onto [0, t_i] for each outer node.
-    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    x_ref, w_ref = _leggauss(n)
     t_in = 0.5 * t_out[:, None] * (x_ref[None, :] + 1.0)      # (n, n)
     w_in = 0.5 * t_out[:, None] * w_ref[None, :]
 

@@ -12,7 +12,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from recoilspec import ConfigError, PulseParams, correlation_yy, solve_bloch, steady_state
-from recoilspec.bloch import bloch_matrix, bloch_trajectory
+from recoilspec.bloch import (bloch_matrix, bloch_trajectory,
+                              gauss_legendre_grid)
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,6 +115,20 @@ def test_trajectory_grid_and_values(dipole_pulse):
     assert traj.corr_yy.shape == (33, 33)
     # diagonal of the correlator is <sigma_y^2> = 1
     assert np.allclose(np.diag(traj.corr_yy), 1.0, atol=1e-10)
+
+
+def test_gauss_legendre_grid_reuses_read_only_reference_rule(dipole_pulse):
+    x, w = np.polynomial.legendre.leggauss(64)
+    half = 0.5 * dipole_pulse.pulse_duration
+    for _ in range(2):
+        nodes, weights = gauss_legendre_grid(dipole_pulse, 64)
+        assert np.array_equal(nodes, half * (x + 1.0))
+        assert np.array_equal(weights, half * w)
+    from recoilspec.bloch import _leggauss
+    ref = _leggauss(64)
+    assert ref is _leggauss(64)
+    with pytest.raises(ValueError):
+        ref[0][0] = 0.0
 
 
 @settings(max_examples=25, deadline=None)
