@@ -171,14 +171,22 @@ class FockSuperposition:
 MotionalState = GaussianState | CatState | FockSuperposition
 
 
+def _relative_decay(x: float) -> float:
+    """(1 - e^{-x}) / x, by its series where |x| is tiny or zero."""
+    if abs(x) < 1e-10:
+        return 1.0 - 0.5 * x
+    return -math.expm1(-x) / x
+
+
 def _damping_factors(g: float, tbar: float):
-    """(e^{-g t}, (1-e^{-g t})/g, (1-e^{-2g t})/(2g)) with safe g -> 0."""
-    if g == 0.0:
-        return 1.0, tbar, tbar
-    e1 = math.exp(-g * tbar)
-    f1 = -math.expm1(-g * tbar) / g
-    f2 = -math.expm1(-2.0 * g * tbar) / (2.0 * g)
-    return e1, f1, f2
+    """(e^{-g t}, (1-e^{-g t})/g, (1-e^{-2g t})/(2g)) with safe g -> 0.
+
+    Both fractions are formed from x = g t, never by dividing by g: for
+    subnormal g the product g t rounds and the quotient by g loses tbar.
+    """
+    x = g * tbar
+    return (math.exp(-x), tbar * _relative_decay(x),
+            tbar * _relative_decay(2.0 * x))
 
 
 def evolve_gaussian(s: GaussianState, fp: FPParams) -> GaussianState:

@@ -75,6 +75,17 @@ def test_damping_reduces_to_plain_drift_as_g_vanishes():
     assert np.allclose(base.cov, tiny.cov, atol=1e-10)
 
 
+def test_subnormal_damping_keeps_the_elapsed_time():
+    # g * tbar rounds to g for subnormal g; the damped drift and diffusion
+    # must still act for the whole tbar
+    state = GaussianState.squeezed(0.6)
+    plain = evolve_gaussian(state, FPParams(alpha=0.5, d=0.1, tbar=1.3))
+    damped = evolve_gaussian(state, FPParams(alpha=0.5, d=0.1, tbar=1.3,
+                                             g=5e-324))
+    assert np.array_equal(damped.mean, plain.mean)
+    assert np.array_equal(damped.cov, plain.cov)
+
+
 def test_cat_overlap_against_characteristic_quadrature():
     from recoilspec.phasespace import _char_overlap, cat_characteristic_function
     for beta in [0.5, 1.0, 2.0]:
