@@ -59,15 +59,34 @@ DEFAULT_CONFIG = {
 }
 
 
+def _typed(key: str, value, default):
+    """`value` for config key `key` if its JSON type is that of `default`.
+
+    A float key also takes an integer; a key whose default is None takes
+    any value.  A section (dict) is merged key by key into its default.
+    """
+    if default is None:
+        return value
+    if isinstance(default, dict) and isinstance(value, dict):
+        return _merge(default, value, f"{key}.")
+    if isinstance(default, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif isinstance(default, int) and not isinstance(default, bool):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise ConfigError(f"config key '{key}' expects "
+                          f"{type(default).__name__}, got {value!r}")
+    return value
+
+
 def _merge(base: dict, extra: dict, path: str = "") -> dict:
     out = dict(base)
     for k, v in extra.items():
         if k not in out:
             raise ConfigError(f"unknown config key '{path}{k}'")
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v, f"{path}{k}.")
-        else:
-            out[k] = v
+        out[k] = _typed(f"{path}{k}", v, out[k])
     return out
 
 
@@ -90,15 +109,15 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
+        node, default = cfg, DEFAULT_CONFIG
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.get(part)
-            if not isinstance(node, dict):
+            node, default = node.get(part), default.get(part)
+            if not (isinstance(node, dict) and isinstance(default, dict)):
                 raise ConfigError(f"unknown config section in {key!r}")
         if parts[-1] not in node:
             raise ConfigError(f"unknown config key {key!r}")
-        node[parts[-1]] = value
+        node[parts[-1]] = _typed(key, value, default[parts[-1]])
     return cfg
 
 

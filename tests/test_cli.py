@@ -66,6 +66,13 @@ def test_unknown_override_exits_2():
     assert proc.returncode == 2
 
 
+def test_mistyped_override_exits_2():
+    proc = run_cli("sensitivity", "--set", "sensitivity.points=abc")
+    assert proc.returncode == 2
+    assert "sensitivity.points" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_oracle_check_failure_exits_3():
     proc = run_cli("oracle-check",
                    "--set", "oracle_check.alpha_points=2",
