@@ -25,7 +25,8 @@ from .phasespace import (CatState, FockSuperposition, FPParams, GaussianState,
                          MotionalState)
 
 # Singular values of the initial Wigner matrix below this fraction of the
-# largest are dropped; the overlap changes by at most that relative amount.
+# largest are dropped: rounding noise for the built-in families, and far
+# below the scheme's discretisation error for a rotated squeezed state.
 _SVD_RTOL = 1e-13
 
 

@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from recoilspec import ConfigError, PulseParams, correlation_yy, solve_bloch, steady_state
-from recoilspec.bloch import (bloch_matrix, bloch_trajectory,
+from recoilspec.bloch import (_leggauss, bloch_matrix, bloch_trajectory,
                               gauss_legendre_grid)
 
 TWO_PI = 2.0 * math.pi
@@ -124,7 +124,6 @@ def test_gauss_legendre_grid_reuses_read_only_reference_rule(dipole_pulse):
         nodes, weights = gauss_legendre_grid(dipole_pulse, 64)
         assert np.array_equal(nodes, half * (x + 1.0))
         assert np.array_equal(weights, half * w)
-    from recoilspec.bloch import _leggauss
     ref = _leggauss(64)
     assert ref is _leggauss(64)
     with pytest.raises(ValueError):
