@@ -6,8 +6,7 @@ the motional probe state -> overlap signals, recoil sensitivity, Fisher
 information bounds, Doppler systematics and probe-state optimization.
 """
 
-from .bloch import (BlochTrajectory, BlochVector, PulseParams,
-                    bloch_trajectory, correlation_yy, solve_bloch,
+from .bloch import (BlochVector, PulseParams, correlation_yy, solve_bloch,
                     steady_state)
 from .doppler import ShiftResult, asymmetric_overlap, two_point_shift
 from .errors import (ConfigError, ConvergenceError, FlatFlankError,
@@ -34,8 +33,8 @@ from .stateopt import (OptimizationProblem, OptimizationResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochTrajectory", "BlochVector", "PulseParams", "bloch_trajectory",
-    "correlation_yy", "solve_bloch", "steady_state",
+    "BlochVector", "PulseParams", "correlation_yy", "solve_bloch",
+    "steady_state",
     "ShiftResult", "asymmetric_overlap", "two_point_shift",
     "ConfigError", "ConvergenceError", "FlatFlankError", "GridUnderflowError",
     "NoCrossingError", "OptimizerError", "PerturbativeRegimeError",

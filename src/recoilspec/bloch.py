@@ -5,7 +5,9 @@ The internal state of the probed ion follows d<s>/dt = M <s> + Gamma*m with a
 downstream (drift/diffusion coefficients, photon numbers) is built from the
 closed-form solution of this linear system and from two-time correlators of
 sigma_y obtained through the quantum regression theorem, so no time-stepping
-error enters the pipeline.
+error enters the pipeline.  `recoil` integrates the same system over a pulse
+with block matrix exponentials; the propagator here serves pointwise
+evaluations.
 """
 
 from __future__ import annotations
@@ -70,15 +72,6 @@ class BlochVector:
     @property
     def norm(self) -> float:
         return math.sqrt(self.sx**2 + self.sy**2 + self.sz**2)
-
-
-@dataclass(frozen=True)
-class BlochTrajectory:
-    """Time-sampled Bloch vectors and Re<sy(t)sy(t')> on a fixed grid."""
-
-    grid: np.ndarray          # strictly increasing times in [0, tau_p]
-    values: np.ndarray        # shape (n, 3)
-    corr_yy: np.ndarray       # shape (n, n); entry (i, j) valid for t_i >= t_j
 
 
 def bloch_matrix(p: PulseParams, doppler_momentum: float = 0.0):
@@ -189,34 +182,3 @@ def correlation_yy(p: PulseParams, t: float, t_prime: float,
         raise ConfigError("times outside [0, pulse_duration]")
     prop = _cached_propagator(p, doppler_momentum)
     return float(prop.corr_yy(np.array([t]), np.array([t_prime]))[0])
-
-
-@lru_cache(maxsize=16)
-def _leggauss(n: int):
-    """Reference Gauss-Legendre nodes and weights on [-1, 1], read-only
-    because every caller shares them."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def gauss_legendre_grid(p: PulseParams, n: int = 64):
-    """Gauss-Legendre nodes and weights on [0, tau_p]."""
-    x, w = _leggauss(n)
-    half = 0.5 * p.pulse_duration
-    return half * (x + 1.0), half * w
-
-
-def bloch_trajectory(p: PulseParams, n: int = 64,
-                     doppler_momentum: float = 0.0) -> BlochTrajectory:
-    """Solution sampled on the standard quadrature grid, with t=0 prepended."""
-    nodes, _ = gauss_legendre_grid(p, n)
-    grid = np.concatenate(([0.0], nodes))
-    prop = _cached_propagator(p, doppler_momentum)
-    values = prop.sigma(grid)
-    tt, ss = np.meshgrid(grid, grid, indexing="ij")
-    corr = np.full((len(grid), len(grid)), np.nan)
-    mask = tt >= ss
-    corr[mask] = prop.corr_yy(tt[mask], ss[mask])
-    return BlochTrajectory(grid=grid, values=values, corr_yy=corr)

@@ -251,7 +251,7 @@ def cmd_resonance(cfg: dict, threads: int):
 
     def one(delta_hz):
         p = base.with_detuning(TWO_PI * float(delta_hz))
-        c = compute_coefficients(p, with_damping=include_doppler)
+        c = compute_coefficients(p)
         if include_doppler:
             ps, dp, _ = asymmetric_overlap(
                 state, FPParams(alpha=c.alpha_p, d=c.d_pp, tbar=tbar, g=c.g))

@@ -1,10 +1,15 @@
 """Fokker-Planck drift/diffusion coefficients from Bloch-equation solutions.
 
-The five per-pulse coefficients are weighted integrals of <sigma_y(t)> and of
-Re<sigma_y(t) sigma_y(t')> over one pulse, evaluated on tensor Gauss-Legendre
-grids (inner integral mapped to [0, t] per outer node).  The Doppler damping
-rate g is the detuning derivative of the momentum drift, obtained by adaptive
-central differences with Richardson extrapolation.
+The per-pulse coefficients are weighted integrals of <sigma_y(t)> and of
+Re<sigma_y(t) sigma_y(t')> over one pulse.  Both are exact blocks of one
+matrix exponential each (C. F. Van Loan, IEEE TAC 23:395, 1978), built on
+the affine Bloch generator A = [[M, Gamma m], [0, 0]] acting on (s, 1): the
+trap-frequency weights phi = (sin nu t, cos nu t) obey phi' = [[0, nu],
+[-nu, 0]] phi, so products of phi with the Bloch vector and the integrals of
+those products solve one larger linear system.  The Doppler damping rate g
+is the exact detuning derivative of the momentum drift, a Frechet derivative
+of the single-integral exponential (Al-Mohy & Higham, SIAM J. Matrix Anal.
+Appl. 30:1639, 2009).
 """
 
 from __future__ import annotations
@@ -13,12 +18,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm, expm_frechet
 
-from .bloch import (PulseParams, _cached_propagator, _leggauss,
-                    gauss_legendre_grid)
-from .errors import QuadratureConvergenceError, StepSizeError
+from .bloch import PulseParams, bloch_matrix
+from .errors import ConvergenceError
 
 _SQRT2 = math.sqrt(2.0)
+_I2, _I4 = np.eye(2), np.eye(4)
+_Y = 1                                   # index of s_y in (s, 1)
+_Z0 = np.array([0.0, 0.0, -1.0, 1.0])    # ground state, (s, 1) form
+# d A / d Delta, and the regression map (s, 1) -> (e_y, s_y) that starts
+# the two-time correlator Re<sy(t) sy(t')> from the state at t'.
+_DA = np.zeros((4, 4))
+_DA[0, 1], _DA[1, 0] = -1.0, 1.0
+_REGRESS = np.zeros((4, 4))
+_REGRESS[1, 3] = _REGRESS[3, 1] = 1.0
 
 
 @dataclass(frozen=True)
@@ -62,120 +76,104 @@ class DriftDiffusion:
         }
 
 
-def _raw_integrals(p: PulseParams, n: int):
-    """Single and double pulse integrals on an n-node Gauss-Legendre grid.
+def _scaled_generators(p: PulseParams):
+    """tau A with A = [[M, Gamma m], [0, 0]], and tau times phi's generator."""
+    m, drive = bloch_matrix(p)
+    a = np.zeros((4, 4))
+    a[:3, :3], a[:3, 3] = m, p.linewidth * drive
+    phi = np.array([[0.0, p.mode_freq], [-p.mode_freq, 0.0]])
+    with np.errstate(over="ignore"):
+        a, phi = a * p.pulse_duration, phi * p.pulse_duration
+    if not (np.isfinite(a).all() and np.isfinite(phi).all()):
+        raise ConvergenceError(f"pulse generator overflows for {p}")
+    return a, phi
 
-    Returns (I_sin, I_cos, J_ss, J_cc, J_sc_asym) where
-      I_f  = int_0^tau f(nu t) <sy(t)> dt
-      J_fg = int_0^tau dt int_0^t dt' f(nu t) g(nu t') Re<sy(t) sy(t')>
-    and J_sc_asym uses the antisymmetric kernel [sin cos' - cos sin']/2.
-    Also returns int <sy> dt for the photon number.
+
+def _single_integrals(p: PulseParams):
+    """(I_sin, I_cos, I_one) and their detuning derivatives, where
+    I_f = int_0^tau f(nu t) <sy(t)> dt and I_one = int_0^tau <sy(t)> dt.
+
+    State (I[3], phi (x) s~[8], s~[4]) with s~ = (s, 1): one 15x15 block.
     """
-    prop = _cached_propagator(p, 0.0)
-    nu = p.mode_freq
-    t_out, w_out = gauss_legendre_grid(p, n)
-
-    sy_out = prop.sigma(t_out)[:, 1]
-    i_sin = float(np.sum(w_out * np.sin(nu * t_out) * sy_out))
-    i_cos = float(np.sum(w_out * np.cos(nu * t_out) * sy_out))
-    i_one = float(np.sum(w_out * sy_out))
-
-    # Inner nodes: map the reference rule onto [0, t_i] for each outer node.
-    x_ref, w_ref = _leggauss(n)
-    t_in = 0.5 * t_out[:, None] * (x_ref[None, :] + 1.0)      # (n, n)
-    w_in = 0.5 * t_out[:, None] * w_ref[None, :]
-
-    tt = np.broadcast_to(t_out[:, None], t_in.shape)
-    corr = prop.corr_yy(tt.ravel(), t_in.ravel()).reshape(t_in.shape)
-
-    sin_o = np.sin(nu * t_out)[:, None]
-    cos_o = np.cos(nu * t_out)[:, None]
-    sin_i = np.sin(nu * t_in)
-    cos_i = np.cos(nu * t_in)
-
-    wgt = w_out[:, None] * w_in
-    j_ss = float(np.sum(wgt * sin_o * sin_i * corr))
-    j_cc = float(np.sum(wgt * cos_o * cos_i * corr))
-    j_asym = float(np.sum(wgt * 0.5 * (sin_o * cos_i - cos_o * sin_i) * corr))
-    return i_sin, i_cos, i_one, j_ss, j_cc, j_asym
+    a, phi = _scaled_generators(p)
+    b = np.zeros((15, 15))
+    b[3:11, 3:11] = np.kron(phi, _I4) + np.kron(_I2, a)
+    b[11:, 11:] = a
+    b[0, 3 + _Y] = b[1, 7 + _Y] = b[2, 11 + _Y] = p.pulse_duration
+    db = np.zeros((15, 15))
+    db[3:11, 3:11] = np.kron(_I2, _DA)
+    db[11:, 11:] = _DA
+    x0 = np.concatenate((np.zeros(7), _Z0, _Z0))      # phi(0) = (0, 1)
+    with np.errstate(all="ignore"):
+        big, dbig = expm_frechet(b, db * p.pulse_duration, check_finite=False)
+    return big[:3] @ x0, dbig[:3] @ x0
 
 
-def _coefficients_at(p: PulseParams, n: int):
-    i_sin, i_cos, i_one, j_ss, j_cc, j_asym = _raw_integrals(p, n)
-    pref = p.lamb_dicke * p.rabi / _SQRT2
-    pref2 = (p.lamb_dicke * p.rabi) ** 2
-    alpha_x = pref * i_sin
-    alpha_p_signed = -pref * i_cos
-    d_xx = pref2 * j_ss - alpha_x**2
-    d_pp = pref2 * j_cc - alpha_p_signed**2
-    d_xp = -pref2 * j_asym - alpha_x * alpha_p_signed
-    n1 = 0.5 * p.rabi * i_one
-    return alpha_x, abs(alpha_p_signed), d_xx, d_pp, d_xp, n1
+def _double_integrals(p: PulseParams):
+    """(J_ss, J_sc, J_cs, J_cc) with J_fg = int_0^tau dt int_0^t dt'
+    f(nu t) g(nu t') Re<sy(t) sy(t')>.
+
+    State (J[4], W[16], S[16]): S = phi (x) phi (x) s~ and W_g = phi (x) u_g
+    with u_g' = A u_g + R g(nu t) s~, so that e_y . u_g(t) is the inner
+    integral: one 36x36 block.
+    """
+    a, phi = _scaled_generators(p)
+    step = np.kron(_I2, np.kron(phi, _I4)) + np.kron(_I4, a)
+    b = np.zeros((36, 36))
+    b[4:20, 4:20] = step
+    b[4:20, 20:] = np.kron(_I4, p.pulse_duration * _REGRESS)
+    b[20:, 20:] = step + np.kron(phi, np.eye(8))
+    for f, g in np.ndindex(2, 2):
+        b[2 * f + g, 4 + 8 * g + 4 * f + _Y] = p.pulse_duration
+    with np.errstate(all="ignore"):
+        return expm(b)[:4, 32:] @ _Z0                 # S(0) = cos cos z0
 
 
-def compute_coefficients(p: PulseParams, n_nodes: int = 64,
-                         check_convergence: bool = True,
-                         with_damping: bool = True) -> DriftDiffusion:
+def compute_coefficients(p: PulseParams) -> DriftDiffusion:
     """All per-pulse Fokker-Planck coefficients at the pulse detuning.
 
-    Raises QuadratureConvergenceError when doubling the node count moves any
-    coefficient by more than 1e-6 relative (scale set by the drift).
+    Raises ConvergenceError, naming the pulse, when a coefficient is not
+    finite.
     """
-    vals = _coefficients_at(p, n_nodes)
-    if check_convergence:
-        ref = _coefficients_at(p, 2 * n_nodes)
-        scale = max(abs(ref[1]), abs(ref[3]), 1e-300)
-        err = max(abs(a - b) for a, b in zip(vals, ref))
-        if err > 1e-6 * scale:
-            raise QuadratureConvergenceError(
-                f"coefficient quadrature not converged at {n_nodes} nodes "
-                f"(change {err:.3e} vs scale {scale:.3e})")
-        vals = ref
-    g = doppler_damping(p, n_nodes=n_nodes) if with_damping else 0.0
-    ax, ap, dxx, dpp, dxp, n1 = vals
-    return DriftDiffusion(alpha_x=ax, alpha_p=ap, d_xx=dxx, d_pp=dpp,
-                          d_xp=dxp, g=g, n1=n1)
+    (i_sin, i_cos, i_one), (_, di_cos, _) = _single_integrals(p)
+    j_ss, j_sc, j_cs, j_cc = _double_integrals(p)
+    eta_rabi = p.lamb_dicke * p.rabi
+    with np.errstate(all="ignore"):
+        ax, ap = eta_rabi / _SQRT2 * i_sin, -eta_rabi / _SQRT2 * i_cos
+        pref2 = eta_rabi * eta_rabi
+        vals = {"alpha_x": ax, "alpha_p": abs(ap),
+                "d_xx": pref2 * j_ss - ax * ax, "d_pp": pref2 * j_cc - ap * ap,
+                "d_xp": -0.5 * pref2 * (j_sc - j_cs) - ax * ap,
+                "g": p.eta_bar * p.mode_freq * _slope(p, i_cos, di_cos),
+                "n1": 0.5 * p.rabi * i_one}
+    vals = {k: float(v) for k, v in vals.items()}
+    if not all(map(math.isfinite, vals.values())):
+        raise ConvergenceError(f"pulse coefficients are not finite for {p}")
+    return DriftDiffusion(**vals)
 
 
-def drift_p(p: PulseParams, n_nodes: int = 64) -> float:
-    """Magnitude of the momentum drift per pulse (cheap single integral)."""
-    prop = _cached_propagator(p, 0.0)
-    t, w = gauss_legendre_grid(p, n_nodes)
-    sy = prop.sigma(t)[:, 1]
-    pref = p.lamb_dicke * p.rabi / _SQRT2
-    return abs(pref * float(np.sum(w * np.cos(p.mode_freq * t) * sy)))
+def _slope(p: PulseParams, i_cos: float, di_cos: float) -> float:
+    """d alpha_p / d Delta, alpha_p = |pref I_cos| with pref = -eta Omega/sqrt(2)."""
+    pref = -p.lamb_dicke * p.rabi / _SQRT2
+    return float(np.sign(pref * i_cos) * pref * di_cos)
 
 
-def drift_slope(p: PulseParams, n_nodes: int = 64,
-                rel_tol: float = 1e-5, init_step: float | None = None) -> float:
-    """d alpha_p / d Delta by adaptive central differences with Richardson."""
-    h = init_step if init_step is not None else 1e-3 * p.linewidth
-
-    def central(step):
-        up = drift_p(p.with_detuning(p.detuning + step), n_nodes)
-        dn = drift_p(p.with_detuning(p.detuning - step), n_nodes)
-        return (up - dn) / (2.0 * step)
-
-    prev = central(h)
-    for _ in range(8):
-        h *= 0.5
-        cur = central(h)
-        rich = (4.0 * cur - prev) / 3.0
-        scale = max(abs(rich), abs(drift_p(p, n_nodes) / p.linewidth), 1e-300)
-        if abs(rich - cur) <= rel_tol * scale:
-            return rich
-        prev = cur
-    raise StepSizeError("drift-slope Richardson extrapolation did not converge")
+def drift_p(p: PulseParams) -> float:
+    """Magnitude of the momentum drift per pulse."""
+    return abs(p.lamb_dicke * p.rabi / _SQRT2 * _single_integrals(p)[0][1])
 
 
-def doppler_damping(p: PulseParams, n_nodes: int = 64) -> float:
+def drift_slope(p: PulseParams) -> float:
+    """Exact d alpha_p / d Delta."""
+    (_, i_cos, _), (_, di_cos, _) = _single_integrals(p)
+    return _slope(p, i_cos, di_cos)
+
+
+def doppler_damping(p: PulseParams) -> float:
     """Doppler damping rate g = eta_bar * nu * d alpha_p / d Delta."""
-    return p.eta_bar * p.mode_freq * drift_slope(p, n_nodes)
+    return p.eta_bar * p.mode_freq * drift_slope(p)
 
 
-def mean_photons_per_pulse(p: PulseParams, n_nodes: int = 64) -> float:
+def mean_photons_per_pulse(p: PulseParams) -> float:
     """Average number of photons absorbed during one pulse."""
-    prop = _cached_propagator(p, 0.0)
-    t, w = gauss_legendre_grid(p, n_nodes)
-    sy = prop.sigma(t)[:, 1]
-    return 0.5 * p.rabi * float(np.sum(w * sy))
+    return 0.5 * p.rabi * _single_integrals(p)[0][2]

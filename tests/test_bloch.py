@@ -12,8 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from recoilspec import ConfigError, PulseParams, correlation_yy, solve_bloch, steady_state
-from recoilspec.bloch import (_leggauss, bloch_matrix, bloch_trajectory,
-                              gauss_legendre_grid)
+from recoilspec.bloch import bloch_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,6 +79,9 @@ def test_liouvillian_oracle_correlation(dipole_pulse):
 
 def test_equal_time_correlation_is_unity(dipole_pulse):
     assert correlation_yy(dipole_pulse, 30e-9, 30e-9) == pytest.approx(1.0, abs=1e-12)
+    # <sigma_y^2> = 1 over the whole pulse, ends included
+    for t in np.linspace(0.0, dipole_pulse.pulse_duration, 9):
+        assert correlation_yy(dipole_pulse, t, t) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_correlation_rejects_reversed_times(dipole_pulse):
@@ -105,29 +107,6 @@ def test_detuning_parity(dipole_pulse):
 def test_starts_in_ground_state(dipole_pulse):
     s = solve_bloch(dipole_pulse, 0.0)
     assert np.allclose(s.as_array(), [0.0, 0.0, -1.0], atol=1e-14)
-
-
-def test_trajectory_grid_and_values(dipole_pulse):
-    traj = bloch_trajectory(dipole_pulse, n=32)
-    assert traj.grid.shape == (33,)  # t=0 prepended to the quadrature nodes
-    assert np.all(np.diff(traj.grid) > 0)
-    assert traj.values.shape == (33, 3)
-    assert traj.corr_yy.shape == (33, 33)
-    # diagonal of the correlator is <sigma_y^2> = 1
-    assert np.allclose(np.diag(traj.corr_yy), 1.0, atol=1e-10)
-
-
-def test_gauss_legendre_grid_reuses_read_only_reference_rule(dipole_pulse):
-    x, w = np.polynomial.legendre.leggauss(64)
-    half = 0.5 * dipole_pulse.pulse_duration
-    for _ in range(2):
-        nodes, weights = gauss_legendre_grid(dipole_pulse, 64)
-        assert np.array_equal(nodes, half * (x + 1.0))
-        assert np.array_equal(weights, half * w)
-    ref = _leggauss(64)
-    assert ref is _leggauss(64)
-    with pytest.raises(ValueError):
-        ref[0][0] = 0.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,7 @@
 """Command-line interface: determinism, formats, overrides, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -99,3 +100,10 @@ def test_threads_do_not_change_output():
     b = run_cli("coeffs", "--set", "coeffs.points=5", "--threads", "4",
                 check=True)
     assert a.stdout == b.stdout
+
+
+def test_long_pulse_coeffs_exit_0_with_finite_rows():
+    proc = run_cli("coeffs", "--set", "pulse.pulse_duration_s=1e-3",
+                   "--format", "json", check=True)
+    row = json.loads(proc.stdout)["rows"][0]
+    assert all(math.isfinite(v) for v in row)

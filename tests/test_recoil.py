@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,59 @@ from recoilspec.bloch import _cached_propagator
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
+KEYS = ("alpha_x", "alpha_p", "d_xx", "d_pp", "d_xp", "n1")
+
+
+def _gauss_legendre_coefficients(p: PulseParams, n: int) -> dict:
+    """Tensor Gauss-Legendre oracle: n outer nodes on [0, tau], n inner
+    nodes mapped onto [0, t] for each outer node t; sigma_y and its
+    regression correlator from the pointwise propagator."""
+    prop = _cached_propagator(p, 0.0)
+    nu = p.mode_freq
+    x, w = np.polynomial.legendre.leggauss(n)
+    t = 0.5 * p.pulse_duration * (x + 1.0)
+    wt = 0.5 * p.pulse_duration * w
+    sy = prop.sigma(t)[:, 1]
+    t_in = 0.5 * t[:, None] * (x[None, :] + 1.0)
+    w_in = 0.5 * t[:, None] * w[None, :]
+    corr = prop.corr_yy(np.broadcast_to(t[:, None], t_in.shape).ravel(),
+                        t_in.ravel()).reshape(t_in.shape)
+    wgt = wt[:, None] * w_in * corr
+    so, co = np.sin(nu * t)[:, None], np.cos(nu * t)[:, None]
+    si, ci = np.sin(nu * t_in), np.cos(nu * t_in)
+    pref = p.lamb_dicke * p.rabi / SQRT2
+    pref2 = (p.lamb_dicke * p.rabi) ** 2
+    alpha_x = pref * np.sum(wt * np.sin(nu * t) * sy)
+    alpha_p = -pref * np.sum(wt * np.cos(nu * t) * sy)
+    return {"alpha_x": alpha_x, "alpha_p": abs(alpha_p),
+            "d_xx": pref2 * np.sum(wgt * so * si) - alpha_x**2,
+            "d_pp": pref2 * np.sum(wgt * co * ci) - alpha_p**2,
+            "d_xp": (-0.5 * pref2 * np.sum(wgt * (so * ci - co * si))
+                     - alpha_x * alpha_p),
+            "n1": 0.5 * p.rabi * np.sum(wt * sy)}
+
+
+@pytest.mark.parametrize("n, overrides", [
+    (128, {}),
+    (128, {"detuning": TWO_PI * 40e6}),
+    (128, {"detuning": -TWO_PI * 40e6}),
+    (512, {"pulse_duration": 8e-6}),
+    (512, {"rabi": TWO_PI * 1e9}),
+])
+def test_coefficients_against_gauss_legendre_oracle(dipole_pulse, n,
+                                                    overrides):
+    p = replace(dipole_pulse, **overrides)
+    want = _gauss_legendre_coefficients(p, n)
+    got = compute_coefficients(p)
+    scale = max(abs(want["alpha_p"]), abs(want["d_pp"]))
+    for key in KEYS:
+        assert abs(getattr(got, key) - want[key]) <= 1e-10 * scale, key
+
+
+def test_long_pulse_coefficients_are_finite(dipole_pulse):
+    c = compute_coefficients(replace(dipole_pulse, pulse_duration=1e-3))
+    assert all(math.isfinite(getattr(c, key)) for key in (*KEYS, "g"))
+    assert c.d_pp > 0.0 and c.n1 > 0.0
 
 
 def test_drift_against_trapezoid_oracle(dipole_pulse):
@@ -76,7 +130,6 @@ def test_photon_number_positive_on_resonance(dipole_pulse):
 
 
 def test_zero_rabi_gives_zero_coefficients(dipole_pulse):
-    from dataclasses import replace
     quiet = replace(dipole_pulse, rabi=0.0)
     c = compute_coefficients(quiet)
     assert c.alpha_p == 0.0
