@@ -13,7 +13,7 @@ evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -42,6 +42,10 @@ class PulseParams:
     pulse_duration: float
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self)
+               if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ConfigError(f"pulse parameters must be finite: {bad}")
         if not self.linewidth > 0.0:
             raise ConfigError("linewidth must be positive (decay is required)")
         if not self.pulse_duration > 0.0:

@@ -62,22 +62,26 @@ DEFAULT_CONFIG = {
 def _typed(key: str, value, default):
     """`value` for config key `key` if its JSON type is that of `default`.
 
-    A float key also takes an integer; a key whose default is None takes
-    any value.  A section (dict) is merged key by key into its default.
+    A float key also takes an integer, but neither takes NaN or infinity;
+    a key whose default is None takes any value.  A section (dict) is
+    merged key by key into its default.
     """
     if default is None:
         return value
     if isinstance(default, dict) and isinstance(value, dict):
         return _merge(default, value, f"{key}.")
+    expected = type(default).__name__
     if isinstance(default, float):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        expected = "finite float"
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
     elif isinstance(default, int) and not isinstance(default, bool):
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
         ok = isinstance(value, type(default))
     if not ok:
-        raise ConfigError(f"config key '{key}' expects "
-                          f"{type(default).__name__}, got {value!r}")
+        raise ConfigError(f"config key '{key}' expects {expected}, "
+                          f"got {value!r}")
     return value
 
 
@@ -421,6 +425,11 @@ def main(argv=None) -> int:
     except RecoilSpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    for i, row in enumerate(rows):
+        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
+            print(f"convergence failure: {args.command} row {i} is not "
+                  f"finite: {row}", file=sys.stderr)
+            return 3
     write_table(args.out, args.format, cfg, args.command, cols, rows)
     return 0
 

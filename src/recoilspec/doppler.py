@@ -41,9 +41,10 @@ def _first_order_moments(s: GaussianState, fp: FPParams):
     mean = s.mean.copy()
     mean[1] -= a * t
     cov = s.cov + np.diag([0.0, d * t])
-    dmean = np.array([0.0, -s.mean[1] * t + 0.5 * a * t**2])
+    # a * t * t, not a * t**2: a float power raises where a product gives inf
+    dmean = np.array([0.0, -s.mean[1] * t + 0.5 * a * t * t])
     dcov = np.array([[0.0, -t * s.cov[0, 1]],
-                     [-t * s.cov[0, 1], -2.0 * t * s.cov[1, 1] - d * t**2]])
+                     [-t * s.cov[0, 1], -2.0 * t * s.cov[1, 1] - d * t * t]])
     return mean, cov, dmean, dcov
 
 

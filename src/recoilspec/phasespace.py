@@ -14,7 +14,7 @@ quadrature; both are restricted to g = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +36,11 @@ class FPParams:
     g: float = 0.0
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self)
+               if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ConfigError(f"drift/diffusion parameters must be finite: "
+                              f"{bad}")
         if self.d < 0.0:
             raise ConfigError("diffusion coefficient must be non-negative")
         if self.tbar < 0.0:

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .bloch import PulseParams
-from .errors import ConfigError, NoCrossingError, OptimizerError
+from .errors import (ConfigError, ConvergenceError, NoCrossingError,
+                     OptimizerError)
 from .metrology import recoil_sensitivity
 from .phasespace import FockSuperposition
 from .recoil import DriftDiffusion, compute_coefficients
@@ -162,10 +163,14 @@ def single_photon_budget(pulse: PulseParams, p0: float = 0.5,
     def gap(r):
         return squeezed_overlap(coeffs.alpha_p, coeffs.d_pp, tstar, r) - p0
 
-    if gap(0.0) <= 0.0:
+    gap_lo, gap_hi = gap(0.0), gap(r_max)
+    if not (math.isfinite(gap_lo) and math.isfinite(gap_hi)):
+        raise ConvergenceError(f"single-photon budget overlap is not finite "
+                               f"for {pulse}")
+    if gap_lo <= 0.0:
         r_req = 0.0
     else:
-        if gap(r_max) > 0.0:
+        if gap_hi > 0.0:
             raise NoCrossingError(
                 "overlap cannot be brought to p0 by squeezing alone")
         r_req = float(brentq(gap, 0.0, r_max, xtol=1e-12, rtol=8.9e-16))

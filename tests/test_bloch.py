@@ -130,3 +130,9 @@ def test_parameter_validation():
     with pytest.raises(ConfigError):
         PulseParams(rabi=1.0, linewidth=1.0, detuning=0.0, lamb_dicke=0.1,
                     mode_freq=1.0, pulse_duration=0.0)
+    good = dict(rabi=1.0, linewidth=1.0, detuning=0.0, lamb_dicke=0.1,
+                mode_freq=1.0, pulse_duration=1.0)
+    for field in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=field):
+                PulseParams(**{**good, field: bad})

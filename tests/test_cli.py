@@ -1,9 +1,16 @@
 """Command-line interface: determinism, formats, overrides, exit codes."""
 
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from recoilspec import cli
 
 
 def run_cli(*args, check=False):
@@ -107,3 +114,59 @@ def test_long_pulse_coeffs_exit_0_with_finite_rows():
                    "--format", "json", check=True)
     row = json.loads(proc.stdout)["rows"][0]
     assert all(math.isfinite(v) for v in row)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["coeffs", "--set", "pulse.rabi_hz=Infinity"], 2),
+    (["shift", "--set", "pulse.detuning_hz=NaN"], 2),
+    (["resonance", "--set", "resonance.tbar=NaN"], 2),
+    (["sensitivity", "--set", "sensitivity.epsilon_min=NaN"], 2),
+    (["coeffs", "--set", "pulse.rabi_hz=1e200"], 3),
+    (["coeffs", "--set", "pulse.linewidth_hz=1e300"], 3),
+    (["budget", "--set", "pulse.linewidth_hz=1e300"], 3),
+])
+def test_non_finite_inputs_and_outputs_exit_cleanly(args, code):
+    proc = run_cli(*args)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_non_finite_config_file_value_exits_2(tmp_path):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"pulse": {"rabi_hz": NaN}}')
+    proc = run_cli("coeffs", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "pulse.rabi_hz" in proc.stderr
+
+
+def test_non_finite_row_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_budget",
+                        lambda cfg, threads: (["x"], [[1.0], [math.nan]]))
+    assert cli.main(["budget"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget row 1" in captured.err
+
+
+_EDGE = (st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300,
+                          5e-324, -5e-324, 0.0, -1.0])
+         | st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["coeffs", "budget", "shift"]),
+       key=st.sampled_from(sorted(cli.DEFAULT_CONFIG["pulse"])),
+       value=_EDGE)
+def test_pulse_edge_values_keep_the_exit_contract(command, key, value):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([command, "--set", f"pulse.{key}={json.dumps(value)}"])
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        body = [ln for ln in out.getvalue().splitlines()
+                if not ln.startswith("#")][1:]
+        assert all(math.isfinite(float(cell))
+                   for ln in body for cell in ln.split(","))
+    else:
+        assert out.getvalue() == "" and err.getvalue() != ""

@@ -190,6 +190,10 @@ def test_state_validation():
         CatState(-1.0)
     with pytest.raises(ConfigError):
         FPParams(alpha=1.0, d=-0.1, tbar=1.0)
+    for field in ("alpha", "d", "tbar", "g"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=field):
+                FPParams(**{"alpha": 1.0, "d": 0.1, "tbar": 1.0, field: bad})
 
 
 @settings(max_examples=30, deadline=None)
