@@ -18,7 +18,8 @@ from scipy.optimize import brentq
 
 from .errors import ConfigError, NoCrossingError, StepSizeError
 from .phasespace import (CatState, FPParams, FockSuperposition, GaussianState,
-                         MotionalState, overlap_after, state_qfi)
+                         MotionalState, evolve_gaussian, overlap_after,
+                         overlap_gaussian, state_qfi)
 
 _LN2 = math.log(2.0)
 DEFAULT_EPS_MAX = 0.3
@@ -116,8 +117,10 @@ def find_working_point(state: MotionalState, epsilon: float,
 
 def _richardson_derivative(f: Callable[[float], float], x0: float,
                            h0: float, one_sided_floor: float | None = None,
-                           rel_tol: float = 1e-9, max_halvings: int = 10):
-    """Adaptive central difference with one Richardson extrapolation."""
+                           rel_tol: float = 1e-9, max_halvings: int = 10,
+                           atol: float = 1e-14):
+    """Adaptive central difference with one Richardson extrapolation,
+    accepted once two estimates agree to rel_tol relative plus atol."""
     def central(h):
         lo = x0 - h
         if one_sided_floor is not None and lo < one_sided_floor:
@@ -133,7 +136,7 @@ def _richardson_derivative(f: Callable[[float], float], x0: float,
         rich = (4.0 * d2 - d1) / 3.0
         if prev is not None:
             scale = max(abs(rich), 1e-300)
-            if abs(rich - prev) <= rel_tol * scale + 1e-14:
+            if abs(rich - prev) <= rel_tol * scale + atol:
                 return rich
         prev = rich
         h *= 0.5
@@ -169,7 +172,9 @@ def recoil_sensitivity(state: MotionalState, epsilon: float,
             return overlap_after(state, FPParams(alpha=alpha, d=dd, tbar=t))
 
         h0 = min(0.3 * d, 1e-3) if d > 0 else 1e-6
-        dp_dd = _richardson_derivative(p_of_d, d, h0, one_sided_floor=0.0)
+        # |S| needs dP/dd only to 1e-9 of the drift term, |dP/dalpha|/eps
+        dp_dd = _richardson_derivative(p_of_d, d, h0, one_sided_floor=0.0,
+                                       atol=1e-9 * abs(dp_da) / epsilon)
         s_diff = epsilon * dp_dd / t
     s_abs = abs(s_drift + s_diff)
     slope = t * (s_drift + s_diff) * dalpha_ddelta
@@ -228,12 +233,6 @@ def fisher_imperfect(p: float, slope: float, eta: float) -> float:
     return (1.0 - 2.0 * eta) ** 2 * slope**2 / var
 
 
-def _rotated_squeezed_cov(r: float, phase: float) -> np.ndarray:
-    rot = np.array([[math.cos(phase), -math.sin(phase)],
-                    [math.sin(phase), math.cos(phase)]])
-    return rot @ (0.5 * np.diag([math.exp(-2 * r), math.exp(2 * r)])) @ rot.T
-
-
 def phase_mismatch_sensitivity(r: float, dphi: float, epsilon: float,
                                p0: float = 0.5, alpha: float = 1.0,
                                allow_large_epsilon: bool = False) -> float:
@@ -242,13 +241,11 @@ def phase_mismatch_sensitivity(r: float, dphi: float, epsilon: float,
     if r < 0.0:
         raise ConfigError("r must be non-negative")
     _check_epsilon(epsilon, allow_large_epsilon)
-    probe = GaussianState(np.zeros(2), _rotated_squeezed_cov(r, math.pi / 2))
-    proj = GaussianState(np.zeros(2),
-                         _rotated_squeezed_cov(r, math.pi / 2 - dphi))
+    probe = GaussianState.squeezed(r, math.pi / 2)
+    proj = GaussianState.squeezed(r, math.pi / 2 - dphi)
     d = epsilon * alpha
 
     def prob(t, a=alpha):
-        from .phasespace import evolve_gaussian, overlap_gaussian
         evolved = evolve_gaussian(probe, FPParams(alpha=a, d=d, tbar=t))
         return overlap_gaussian(proj, evolved)
 

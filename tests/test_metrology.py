@@ -180,3 +180,25 @@ def test_squeezed_monotone_in_r_at_fixed_eps():
     vals = [recoil_sensitivity(GaussianState.squeezed(r), 0.2).s_abs
             for r in [0.0, 0.4, 0.8, 1.2]]
     assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
+
+
+def test_phase_mismatch_values_unchanged():
+    # pinned to the last bit: the probe and projector are GaussianState.squeezed
+    # states, whose covariance arithmetic equals the rotated form used before
+    assert phase_mismatch_sensitivity(0.5, 1.0, 0.1) == 0.3719493109556228
+    assert phase_mismatch_sensitivity(1.44, 0.0, 0.1) == 1.692904600840391
+    assert phase_mismatch_sensitivity(0.8, 0.3, 0.05) == 0.8111549689544715
+
+
+@pytest.mark.parametrize("state, eps, want", [
+    (CatState(2.0), 0.05502961299358883, 2.2373714393250252),
+    (CatState(2.0), 0.0561, 2.2271331935821435),
+    (FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(0.75)}), 0.0689,
+     1.8009109514193615),
+])
+def test_extended_sensitivity_where_dp_dd_is_near_zero(state, eps, want):
+    # dP/dd nearly vanishes here; its Richardson estimates settle only to
+    # about 1e-12, which once exceeded a purely relative stopping test.
+    # Reference values: 1-D displacement fidelity with analytic derivatives.
+    s = recoil_sensitivity(state, eps, mode="extended").s_abs
+    assert s == pytest.approx(want, rel=1e-9)
