@@ -61,12 +61,6 @@ def test_coefficients_against_gauss_legendre_oracle(dipole_pulse, n,
         assert abs(getattr(got, key) - want[key]) <= 1e-10 * scale, key
 
 
-def test_long_pulse_coefficients_are_finite(dipole_pulse):
-    c = compute_coefficients(replace(dipole_pulse, pulse_duration=1e-3))
-    assert all(math.isfinite(getattr(c, key)) for key in (*KEYS, "g"))
-    assert c.d_pp > 0.0 and c.n1 > 0.0
-
-
 def test_drift_against_trapezoid_oracle(dipole_pulse):
     # dense uniform-grid trapezoid is a different integration scheme entirely
     n = 4001
