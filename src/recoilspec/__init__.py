@@ -11,20 +11,20 @@ from .bloch import (BlochVector, PulseParams, correlation_yy, solve_bloch,
 from .doppler import ShiftResult, asymmetric_overlap, two_point_shift
 from .errors import (ConfigError, ConvergenceError, FlatFlankError,
                      GridUnderflowError, NoCrossingError, OptimizerError,
-                     PerturbativeRegimeError, QuadratureConvergenceError,
-                     RecoilSpecError, StepSizeError, UnsupportedDampingError)
+                     PerturbativeRegimeError, RecoilSpecError,
+                     UnsupportedDampingError)
 from .metrology import (SensitivityResult, WorkingPoint, fisher_binary,
                         fisher_imperfect, find_working_point,
                         phase_mismatch_sensitivity, qfi,
                         qfi_sensitivity_bound, recoil_sensitivity, snr)
 from .pdeoracle import GridSpec, overlap_pde, overlap_pde_batch
 from .phasespace import (CatState, FockSuperposition, FPParams, GaussianState,
-                         characteristic_function, evolve_and_overlap_cat,
-                         evolve_and_overlap_fock, evolve_gaussian,
-                         overlap_after, overlap_gaussian, state_nbar,
-                         state_qfi)
-from .recoil import (DriftDiffusion, compute_coefficients, doppler_damping,
-                     drift_p, drift_slope, mean_photons_per_pulse)
+                         characteristic_function, evolve_gaussian,
+                         overlap_after, overlap_gaussian, overlap_slopes,
+                         state_nbar, state_qfi)
+from .recoil import (DriftDiffusion, compute_coefficients, detuning_slopes,
+                     doppler_damping, drift_p, drift_slope,
+                     mean_photons_per_pulse)
 from .stateopt import (OptimizationProblem, OptimizationResult,
                        SinglePhotonBudget, fock_sensitivity,
                        optimize_fock_superposition, single_photon_budget,
@@ -38,18 +38,16 @@ __all__ = [
     "ShiftResult", "asymmetric_overlap", "two_point_shift",
     "ConfigError", "ConvergenceError", "FlatFlankError", "GridUnderflowError",
     "NoCrossingError", "OptimizerError", "PerturbativeRegimeError",
-    "QuadratureConvergenceError", "RecoilSpecError", "StepSizeError",
-    "UnsupportedDampingError",
+    "RecoilSpecError", "UnsupportedDampingError",
     "SensitivityResult", "WorkingPoint", "fisher_binary", "fisher_imperfect",
     "find_working_point", "phase_mismatch_sensitivity", "qfi",
     "qfi_sensitivity_bound", "recoil_sensitivity", "snr",
     "GridSpec", "overlap_pde", "overlap_pde_batch",
     "CatState", "FockSuperposition", "FPParams", "GaussianState",
-    "characteristic_function", "evolve_and_overlap_cat",
-    "evolve_and_overlap_fock", "evolve_gaussian", "overlap_after",
-    "overlap_gaussian", "state_nbar", "state_qfi",
-    "DriftDiffusion", "compute_coefficients", "doppler_damping", "drift_p",
-    "drift_slope", "mean_photons_per_pulse",
+    "characteristic_function", "evolve_gaussian", "overlap_after",
+    "overlap_gaussian", "overlap_slopes", "state_nbar", "state_qfi",
+    "DriftDiffusion", "compute_coefficients", "detuning_slopes",
+    "doppler_damping", "drift_p", "drift_slope", "mean_photons_per_pulse",
     "OptimizationProblem", "OptimizationResult", "SinglePhotonBudget",
     "fock_sensitivity", "optimize_fock_superposition",
     "single_photon_budget", "squeezing_db",

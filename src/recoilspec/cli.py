@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -220,7 +219,7 @@ def _grid(lo: float, hi: float, n: int, log: bool = False) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def cmd_coeffs(cfg: dict, threads: int):
+def cmd_coeffs(cfg: dict):
     sec = cfg["coeffs"]
     base = pulse_from_config(cfg)
     deltas = _grid(float(sec["detuning_hz_min"]),
@@ -234,14 +233,13 @@ def cmd_coeffs(cfg: dict, threads: int):
         return [float(delta_hz), c.alpha_p, c.alpha_x, c.d_pp, c.d_xx,
                 c.d_xp, c.epsilon, c.g, c.n1]
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-        rows = list(ex.map(one, deltas))
+    rows = [one(delta) for delta in deltas]
     cols = ["detuning_hz", "alpha_p", "alpha_x", "d_pp", "d_xx", "d_xp",
             "epsilon", "g", "n1"]
     return cols, rows
 
 
-def cmd_resonance(cfg: dict, threads: int):
+def cmd_resonance(cfg: dict):
     sec = cfg["resonance"]
     base = pulse_from_config(cfg)
     state = state_from_spec(cfg["state"])
@@ -265,12 +263,10 @@ def cmd_resonance(cfg: dict, threads: int):
             dp = 0.0
         return [float(delta_hz), ps, dp]
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-        rows = list(ex.map(one, deltas))
-    return ["detuning_hz", "p_sym", "delta_p"], rows
+    return ["detuning_hz", "p_sym", "delta_p"], [one(d) for d in deltas]
 
 
-def cmd_sensitivity(cfg: dict, threads: int):
+def cmd_sensitivity(cfg: dict):
     sec = cfg["sensitivity"]
     eps = _grid(float(sec["epsilon_min"]), float(sec["epsilon_max"]),
                 int(sec["points"]), log=bool(sec["log_grid"]))
@@ -280,8 +276,7 @@ def cmd_sensitivity(cfg: dict, threads: int):
     p0 = float(sec["p0"])
     allow = bool(sec["allow_large_epsilon"])
 
-    def one(cell):
-        e, state = cell
+    def one(e, state):
         try:
             r = recoil_sensitivity(state, float(e), p0=p0, mode=mode,
                                    allow_large_epsilon=allow)
@@ -289,17 +284,12 @@ def cmd_sensitivity(cfg: dict, threads: int):
         except RecoilSpecError as exc:
             return None, None, type(exc).__name__
 
-    cells = [(e, st) for e in eps for st in states]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-        results = list(ex.map(one, cells))
     rows = []
-    k = 0
     for e in eps:
         row = [float(e)]
         diagnostics = []
-        for spec in specs:
-            s_abs, bound, diag = results[k]
-            k += 1
+        for spec, state in zip(specs, states):
+            s_abs, bound, diag = one(e, state)
             row.extend([s_abs, bound])
             if diag:
                 diagnostics.append(f"{spec}:{diag}")
@@ -313,7 +303,7 @@ def cmd_sensitivity(cfg: dict, threads: int):
     return cols, rows
 
 
-def cmd_shift(cfg: dict, threads: int):
+def cmd_shift(cfg: dict):
     sec = cfg["shift"]
     pulse = pulse_from_config(cfg)
     state = state_from_spec(cfg["state"])
@@ -329,7 +319,7 @@ def cmd_shift(cfg: dict, threads: int):
     return cols, rows
 
 
-def cmd_optimize(cfg: dict, threads: int, seed: int):
+def cmd_optimize(cfg: dict, seed: int):
     sec = cfg["optimize"]
     prob = OptimizationProblem(basis=tuple(int(n) for n in sec["basis"]),
                                nbar_max=float(sec["nbar_max"]),
@@ -346,7 +336,7 @@ def cmd_optimize(cfg: dict, threads: int, seed: int):
     return cols, rows
 
 
-def cmd_budget(cfg: dict, threads: int):
+def cmd_budget(cfg: dict):
     pulse = pulse_from_config(cfg)
     b = single_photon_budget(pulse, p0=float(cfg["budget"]["p0"]))
     cols = ["alpha_p", "d_pp", "epsilon", "n1", "tstar", "r_required",
@@ -356,7 +346,7 @@ def cmd_budget(cfg: dict, threads: int):
     return cols, rows
 
 
-def cmd_oracle_check(cfg: dict, threads: int):
+def cmd_oracle_check(cfg: dict):
     sec = cfg["oracle_check"]
     fps = [FPParams(alpha=float(a), d=float(d), tbar=1.0)
            for a in np.linspace(0.0, 2.0, int(sec["alpha_points"]))
@@ -396,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="-",
                         help="output path, '-' for stdout")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 
@@ -406,19 +395,19 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.set)
         if args.command == "coeffs":
-            cols, rows = cmd_coeffs(cfg, args.threads)
+            cols, rows = cmd_coeffs(cfg)
         elif args.command == "resonance":
-            cols, rows = cmd_resonance(cfg, args.threads)
+            cols, rows = cmd_resonance(cfg)
         elif args.command == "sensitivity":
-            cols, rows = cmd_sensitivity(cfg, args.threads)
+            cols, rows = cmd_sensitivity(cfg)
         elif args.command == "shift":
-            cols, rows = cmd_shift(cfg, args.threads)
+            cols, rows = cmd_shift(cfg)
         elif args.command == "optimize":
-            cols, rows = cmd_optimize(cfg, args.threads, args.seed)
+            cols, rows = cmd_optimize(cfg, args.seed)
         elif args.command == "budget":
-            cols, rows = cmd_budget(cfg, args.threads)
+            cols, rows = cmd_budget(cfg)
         else:
-            cols, rows = cmd_oracle_check(cfg, args.threads)
+            cols, rows = cmd_oracle_check(cfg)
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3

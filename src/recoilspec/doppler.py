@@ -16,10 +16,10 @@ import numpy as np
 
 from .bloch import PulseParams
 from .errors import ConfigError, FlatFlankError, PerturbativeRegimeError
-from .metrology import _richardson_derivative, find_root_tbar, _march_step
+from .metrology import find_root_tbar, _march_step
 from .phasespace import (FPParams, GaussianState, evolve_gaussian,
-                         overlap_gaussian)
-from .recoil import compute_coefficients, doppler_damping
+                         overlap_after, overlap_gaussian, overlap_slopes)
+from .recoil import compute_coefficients, detuning_slopes, doppler_damping
 
 MAX_GTBAR = 0.1
 
@@ -67,9 +67,8 @@ def asymmetric_overlap(state: GaussianState, fp: FPParams):
              + 0.5 * float(dm @ inv @ dct @ inv @ dm)
              + float(dm @ inv @ dmt))
     delta_p = fp.g * p_sym * dlogp
-    if fp.g == 0.0 or fp.tbar == 0.0:
-        return p_sym, 0.0, 0.0
-    c = delta_p / (0.5 * fp.g * fp.tbar * p_sym)
+    # c = 2 (d log P / dg) / tbar holds at every g, g = 0 included
+    c = 2.0 * dlogp / fp.tbar if fp.tbar > 0.0 else 0.0
     return p_sym, delta_p, c
 
 
@@ -83,26 +82,22 @@ def two_point_shift(state: GaussianState, pulse: PulseParams,
                     slope_floor: float = 1e-18) -> ShiftResult:
     """Systematic frequency offset of the resonance sampled at P = p0.
 
-    Coefficients are evaluated at the pulse detuning; the working point is
-    found in per-pulse units, then the detuning slope of P is taken through
-    the whole pipeline at fixed interrogation time.
+    Coefficients are evaluated at the pulse detuning and the working point
+    is found in per-pulse units.  The detuning slope of P at fixed
+    interrogation time is exact: dP/dalpha d alpha_p/dDelta
+    + dP/dd d D_pp/dDelta.
     """
     if not 0.0 < p0 < 1.0:
         raise ConfigError("p0 must lie in (0, 1)")
-
-    def alpha_d(delta: float):
-        coeffs = compute_coefficients(pulse.with_detuning(delta))
-        d = 0.0 if neglect_diffusion else coeffs.d_pp
-        return coeffs.alpha_p, d
-
-    alpha0, d0 = alpha_d(pulse.detuning)
+    coeffs = compute_coefficients(pulse)
+    alpha0 = coeffs.alpha_p
+    d0 = 0.0 if neglect_diffusion else coeffs.d_pp
     if alpha0 <= 0.0:
         raise ConfigError("drift must be positive at the chosen detuning")
     g0 = doppler_damping(pulse)
 
     def prob(t):
-        return overlap_gaussian(
-            state, evolve_gaussian(state, FPParams(alpha=alpha0, d=d0, tbar=t)))
+        return overlap_after(state, FPParams(alpha=alpha0, d=d0, tbar=t))
 
     t_max = 40.0 * math.sqrt(2.0 * math.log(2.0)) / alpha0
     tstar = find_root_tbar(prob, p0, _march_step(state, alpha0), t_max)
@@ -112,14 +107,11 @@ def two_point_shift(state: GaussianState, pulse: PulseParams,
 
     p_sym, delta_p, c = asymmetric_overlap(
         state, FPParams(alpha=alpha0, d=d0, tbar=tstar, g=g0))
-
-    def p_of_delta(delta: float) -> float:
-        a, d = alpha_d(delta)
-        return overlap_gaussian(
-            state, evolve_gaussian(state, FPParams(alpha=a, d=d, tbar=tstar)))
-
-    dp_ddelta = _richardson_derivative(p_of_delta, pulse.detuning,
-                                       1e-3 * pulse.linewidth, rel_tol=1e-7)
+    _, dp_da, dp_dd = overlap_slopes(
+        state, FPParams(alpha=alpha0, d=d0, tbar=tstar))
+    da_ddelta, dd_ddelta = detuning_slopes(pulse)
+    dp_ddelta = dp_da * da_ddelta + (0.0 if neglect_diffusion
+                                     else dp_dd * dd_ddelta)
     if abs(dp_ddelta) < slope_floor:
         raise FlatFlankError("overlap slope too small to define a shift")
     shift = -delta_p / dp_ddelta

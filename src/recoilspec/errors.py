@@ -17,14 +17,6 @@ class ConvergenceError(RecoilSpecError):
     """Base class for numerical-convergence failures."""
 
 
-class QuadratureConvergenceError(ConvergenceError):
-    """Doubling the quadrature nodes changed the result beyond tolerance."""
-
-
-class StepSizeError(ConvergenceError):
-    """Adaptive finite-difference/Richardson derivative did not converge."""
-
-
 class NoCrossingError(ConvergenceError):
     """The overlap probability never reaches the requested working point."""
 

@@ -4,7 +4,9 @@ All quantities here live in the normalized per-pulse units of the
 drift/diffusion model: the drift slope with respect to detuning is divided
 out, so sensitivities depend only on the probe state, the diffusion ratio
 epsilon = d/alpha, and the target probability p0.  Physical-unit numbers
-are recovered by the callers that hold a pulse configuration.
+are recovered by the callers that hold a pulse configuration.  The slopes
+of the overlap are exact (`phasespace.overlap_slopes`); nothing here takes
+a finite difference.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ConfigError, NoCrossingError, StepSizeError
+from .errors import ConfigError, NoCrossingError
 from .phasespace import (CatState, FPParams, FockSuperposition, GaussianState,
-                         MotionalState, evolve_gaussian, overlap_after,
-                         overlap_gaussian, state_qfi)
+                         MotionalState, _gaussian_slopes, overlap_after,
+                         overlap_slopes, state_qfi)
 
 _LN2 = math.log(2.0)
 DEFAULT_EPS_MAX = 0.3
+# The working-point march gives up after 640 half-widths sqrt(2 ln 2)/alpha
+# of the vacuum overlap (scaled by e^r for squeezed probes).
+_MARCH_SPAN = 640.0
 
 
 @dataclass(frozen=True)
@@ -103,44 +108,9 @@ def find_working_point(state: MotionalState, epsilon: float,
     r_eff = 0.0
     if isinstance(state, GaussianState):
         r_eff = 0.5 * math.log(2.0 * float(np.max(np.linalg.eigvalsh(state.cov))))
-    t_max = 10.0 * math.exp(abs(r_eff)) * math.sqrt(2.0 * _LN2) / alpha
-    step = _march_step(state, alpha)
-    for _ in range(4):
-        try:
-            root = find_root_tbar(prob, p0, step, t_max)
-            return WorkingPoint(tstar=root, p0=p0, delta0=delta0)
-        except NoCrossingError:
-            t_max *= 4.0
-    raise NoCrossingError(
-        "no working point found; diffusion-dominated saturation likely")
-
-
-def _richardson_derivative(f: Callable[[float], float], x0: float,
-                           h0: float, one_sided_floor: float | None = None,
-                           rel_tol: float = 1e-9, max_halvings: int = 10,
-                           atol: float = 1e-14):
-    """Adaptive central difference with one Richardson extrapolation,
-    accepted once two estimates agree to rel_tol relative plus atol."""
-    def central(h):
-        lo = x0 - h
-        if one_sided_floor is not None and lo < one_sided_floor:
-            # shifted 3-point forward stencil keeps second-order accuracy
-            return (-3.0 * f(x0) + 4.0 * f(x0 + h) - f(x0 + 2 * h)) / (2 * h)
-        return (f(x0 + h) - f(lo)) / (2 * h)
-
-    h = h0
-    prev = None
-    for _ in range(max_halvings):
-        d1 = central(h)
-        d2 = central(0.5 * h)
-        rich = (4.0 * d2 - d1) / 3.0
-        if prev is not None:
-            scale = max(abs(rich), 1e-300)
-            if abs(rich - prev) <= rel_tol * scale + atol:
-                return rich
-        prev = rich
-        h *= 0.5
-    raise StepSizeError("derivative failed to converge under step refinement")
+    t_max = _MARCH_SPAN * math.exp(abs(r_eff)) * math.sqrt(2.0 * _LN2) / alpha
+    root = find_root_tbar(prob, p0, _march_step(state, alpha), t_max)
+    return WorkingPoint(tstar=root, p0=p0, delta0=delta0)
 
 
 def recoil_sensitivity(state: MotionalState, epsilon: float,
@@ -159,23 +129,10 @@ def recoil_sensitivity(state: MotionalState, epsilon: float,
     wp = find_working_point(state, epsilon, p0=p0, alpha=alpha,
                             allow_large_epsilon=allow_large_epsilon)
     t = wp.tstar
-    d = epsilon * alpha
-
-    def p_of_alpha(a):
-        return overlap_after(state, FPParams(alpha=a, d=d, tbar=t))
-
-    dp_da = _richardson_derivative(p_of_alpha, alpha, 1e-3 * alpha)
+    _, dp_da, dp_dd = overlap_slopes(
+        state, FPParams(alpha=alpha, d=epsilon * alpha, tbar=t))
     s_drift = dp_da / t
-    s_diff = 0.0
-    if mode == "extended" and epsilon > 0.0:
-        def p_of_d(dd):
-            return overlap_after(state, FPParams(alpha=alpha, d=dd, tbar=t))
-
-        h0 = min(0.3 * d, 1e-3) if d > 0 else 1e-6
-        # |S| needs dP/dd only to 1e-9 of the drift term, |dP/dalpha|/eps
-        dp_dd = _richardson_derivative(p_of_d, d, h0, one_sided_floor=0.0,
-                                       atol=1e-9 * abs(dp_da) / epsilon)
-        s_diff = epsilon * dp_dd / t
+    s_diff = epsilon * dp_dd / t if mode == "extended" else 0.0
     s_abs = abs(s_drift + s_diff)
     slope = t * (s_drift + s_diff) * dalpha_ddelta
     fisher = fisher_binary(p0, slope)
@@ -243,23 +200,14 @@ def phase_mismatch_sensitivity(r: float, dphi: float, epsilon: float,
     _check_epsilon(epsilon, allow_large_epsilon)
     probe = GaussianState.squeezed(r, math.pi / 2)
     proj = GaussianState.squeezed(r, math.pi / 2 - dphi)
+    sigma = probe.cov + proj.cov
     d = epsilon * alpha
 
-    def prob(t, a=alpha):
-        evolved = evolve_gaussian(probe, FPParams(alpha=a, d=d, tbar=t))
-        return overlap_gaussian(proj, evolved)
+    def slopes(t):
+        return _gaussian_slopes(sigma, alpha * t, d * t)
 
-    t_max = 10.0 * math.exp(r) * math.sqrt(2.0 * _LN2) / alpha
-    step = _march_step(probe, alpha)
-    tstar = None
-    for _ in range(4):
-        try:
-            tstar = find_root_tbar(prob, p0, step, t_max)
-            break
-        except NoCrossingError:
-            t_max *= 4.0
-    if tstar is None:
-        raise NoCrossingError("no working point under phase mismatch")
-    dp_da = _richardson_derivative(lambda a: prob(tstar, a), alpha,
-                                   1e-3 * alpha)
-    return abs(dp_da) / tstar
+    t_max = _MARCH_SPAN * math.exp(r) * math.sqrt(2.0 * _LN2) / alpha
+    tstar = find_root_tbar(lambda t: slopes(t)[0], p0,
+                           _march_step(probe, alpha), t_max)
+    # |S| = |dP/dalpha| / tstar = |dP/du|
+    return abs(slopes(tstar)[1])

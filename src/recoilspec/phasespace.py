@@ -6,9 +6,10 @@ vacuum covariance diag(1/2, 1/2).  The momentum drift displaces states along
 so the choice is fixed purely for reproducibility.
 
 Gaussian states evolve by closed-form moment solutions (exact also with the
-Doppler damping g).  Cat states use the closed-form overlap, Fock
-superpositions the characteristic-function route with Gauss-Hermite
-quadrature; both are restricted to g = 0.
+Doppler damping g).  At g = 0 every overlap and its exact drift and
+diffusion slopes come from one route, the 1-D displacement fidelity
+(`overlap_slopes`): closed forms for Gaussian and cat states, exact
+Gauss-Hermite quadrature for Fock superpositions.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from .errors import (ConfigError, QuadratureConvergenceError,
-                     UnsupportedDampingError)
+from .errors import ConfigError, UnsupportedDampingError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -215,25 +215,6 @@ def overlap_gaussian(a: GaussianState, b: GaussianState) -> float:
     return float(det**-0.5 * math.exp(-0.5 * dm @ np.linalg.solve(sigma, dm)))
 
 
-def evolve_and_overlap_cat(c: CatState, fp: FPParams) -> float:
-    """Overlap of a cat state with its drift/diffusion-evolved self (g = 0)."""
-    if fp.g != 0.0:
-        raise UnsupportedDampingError("cat propagation requires g = 0")
-    b2 = c.beta**2
-    u = fp.alpha * fp.tbar
-    v = fp.d * fp.tbar
-    den = 1.0 + v
-    q = math.exp(-2.0 * b2)
-    bracket = (1.0
-               + 2.0 * math.exp(-4.0 * b2)
-               + math.exp(-4.0 * v * b2 / den)
-               * math.cos(2.0 * _SQRT2 * u * c.beta / den)
-               + 4.0 * math.exp(-b2 * (2.0 + 3.0 * v) / den)
-               * math.cos(_SQRT2 * u * c.beta / den))
-    return (0.5 / (1.0 + q) ** 2 / math.sqrt(den)
-            * math.exp(-0.5 * u**2 / den) * bracket)
-
-
 def _displacement_elements(m: int, n: int, lam: np.ndarray) -> np.ndarray:
     """<m| D(lam) |n> for the displacement operator D = exp(lam a^dag - lam* a)."""
     a2 = np.abs(lam) ** 2
@@ -271,62 +252,106 @@ def cat_characteristic_function(c: CatState, k1, k2) -> np.ndarray:
                              * np.cosh(_SQRT2 * k2 * c.beta))
 
 
-@lru_cache(maxsize=8)
-def _hermgauss(n: int):
-    x, w = np.polynomial.hermite.hermgauss(n)
-    return x, w
+def _gaussian_slopes(sigma: np.ndarray, u: float, v: float):
+    """(P, dP/du, dP/dv) for P = det S^{-1/2} exp(-u^2 q / 2), where
+    S = sigma + diag(0, v) and q = S_xx / det S: the overlap of two
+    zero-displacement Gaussians whose covariances sum to sigma, after a
+    momentum kick drawn from N(u, v)."""
+    sxx = float(sigma[0, 0])
+    det = sxx * (float(sigma[1, 1]) + v) - float(sigma[0, 1] * sigma[1, 0])
+    q = sxx / det
+    p = det**-0.5 * math.exp(-0.5 * u * u * q)
+    return p, -p * u * q, 0.5 * p * (u * u * q * q - q)
 
 
-def _char_overlap(chi_sq_fn, fp: FPParams, nodes: int) -> float:
-    """(1/2pi) int |chi0(k)|^2 e^{i k2 alpha tbar - k2^2 d tbar / 2} d^2k.
+def _cat_slopes(c: CatState, u: float, v: float):
+    """(P, dP/du, dP/dv) for the even cat, from the three cosine terms of
+    |G(y)|^2 = 4 N^4 e^{-y^2/2} (cos(sqrt2 beta y) + e^{-2 beta^2})^2.
 
-    `chi_sq_fn(k1, k2)` must return |chi0|^2 * exp(+k^2/2) (the slowly varying
-    residual after factoring out the Gauss-Hermite weight).
+    Each term's average E[e^{-y^2/2 + i k y}] over y ~ N(u, v) is
+    (1+v)^{-1/2} exp(e / (1+v)) with e = -u^2/2 + i k u - k^2 v / 2.
     """
-    x, w = _hermgauss(nodes)
-    k = _SQRT2 * x
-    k1, k2 = np.meshgrid(k, k, indexing="ij")
-    w2 = np.outer(w, w)
-    u = fp.alpha * fp.tbar
-    phase = np.exp(1j * k2 * u - 0.5 * fp.d * fp.tbar * k2**2)
-    val = np.sum(w2 * chi_sq_fn(k1, k2) * phase) / math.pi
-    return float(np.real(val))
+    q = math.exp(-2.0 * c.beta**2)
+    n4 = c.normalization**4
+    k = _SQRT2 * c.beta * np.array([0.0, 2.0, 1.0])
+    amp = 4.0 * n4 * np.array([0.5 + q * q, 0.5, 2.0 * q])
+    den = 1.0 + v
+    ex = -0.5 * u * u + 1j * k * u - 0.5 * k * k * v
+    h = amp * np.exp(ex / den) / math.sqrt(den)
+    h_u = h * (1j * k - u) / den
+    h_v = -h * (0.5 * (1.0 + k * k) / den + ex / den**2)
+    return tuple(float(np.sum(w).real) for w in (h, h_u, h_v))
 
 
-def evolve_and_overlap_fock(f: FockSuperposition, fp: FPParams,
-                            nodes: int = 80, check: bool = False) -> float:
-    """Overlap of a Fock superposition with its evolved self (g = 0).
+@lru_cache(maxsize=16)
+def _hermite_e_rule(n: int):
+    """Probabilists' Gauss-Hermite nodes and weights normalised to N(0, 1)."""
+    z, w = np.polynomial.hermite_e.hermegauss(n)
+    return z, w / math.sqrt(2.0 * math.pi)
 
-    The evolved characteristic function is the initial one times the exact
-    drift/diffusion factor; the overlap integral is done with tensor
-    Gauss-Hermite quadrature against the Gaussian envelope.
+
+def _fock_slopes(f: FockSuperposition, u: float, v: float):
+    """(P, dP/du, dP/dv) for a Fock superposition, exact.
+
+    G(y) = <psi|e^{iyx}|psi> is e^{-y^2/4} times a polynomial of degree
+    <= 2 n_max, so F = |G|^2 and its y-derivatives F', F'' are e^{-y^2/2}
+    times polynomials of degree <= 4 n_max + 2.  The envelope folds into
+    the kick distribution, E_{N(u,v)}[h] = (1+v)^{-1/2} e^{-u^2/(2(1+v))}
+    E_{z~N(u/(1+v), v/(1+v))}[h e^{z^2/2}], and 2 n_max + 2 probabilists'
+    Gauss-Hermite nodes integrate the remaining polynomials exactly.  The
+    heat equation gives dP/dv = E[F''] / 2.
+    """
+    c = np.append(f.coeffs, 0.0)          # room for x c one level up
+    off = np.sqrt(np.arange(1, len(c)) / 2.0)
+    vecs = np.array([c, (np.diag(off, 1) + np.diag(off, -1)) @ c])
+    idx = np.flatnonzero(np.any(vecs != 0.0, axis=0))
+    vecs = vecs[:, idx]
+    den = 1.0 + v
+    z, w = _hermite_e_rule(2 * len(f.coeffs))
+    z = u / den + math.sqrt(v / den) * z
+    lam = 1j * z / _SQRT2                 # e^{i z x} = D(i z / sqrt2)
+    dmat = np.empty((len(z), len(idx), len(idx)), dtype=complex)
+    for a, m in enumerate(idx):
+        for b, n in enumerate(idx):
+            dmat[:, a, b] = _displacement_elements(m, n, lam)
+    # g[:, i, j] = vecs_i^dag D vecs_j, with vecs = (c, x c)
+    g = np.einsum("ia,kab,jb->kij", np.conj(vecs), dmat, vecs)
+    g0, g1, g2 = g[:, 0, 0], 1j * g[:, 1, 0], -g[:, 1, 1]
+    f0 = np.abs(g0) ** 2
+    f1 = 2.0 * np.real(np.conj(g0) * g1)
+    f2 = 2.0 * np.real(np.abs(g1) ** 2 + np.conj(g0) * g2)
+    wz = w * np.exp(0.5 * z * z) * math.exp(-0.5 * u * u / den) / math.sqrt(den)
+    return float(wz @ f0), float(wz @ f1), 0.5 * float(wz @ f2)
+
+
+def overlap_slopes(state: MotionalState, fp: FPParams):
+    """(P, dP/dalpha, dP/dd): the remain probability after drift and
+    diffusion and its exact slopes, for g = 0.
+
+    Drift and diffusion act only along p, so P(u, v) = E_{y~N(u,v)}
+    |<psi|e^{iyx}|psi>|^2 with u = alpha tbar and v = d tbar; the slopes
+    are tbar dP/du and tbar dP/dv.
     """
     if fp.g != 0.0:
-        raise UnsupportedDampingError("Fock propagation requires g = 0")
-
-    def chi_sq(k1, k2):
-        chi = characteristic_function(f, k1, k2)
-        return np.abs(chi) ** 2 * np.exp(0.5 * (k1**2 + k2**2))
-
-    val = _char_overlap(chi_sq, fp, nodes)
-    if check:
-        ref = _char_overlap(chi_sq, fp, 2 * nodes)
-        if abs(ref - val) > 1e-8:
-            raise QuadratureConvergenceError(
-                f"Fock overlap quadrature not converged ({abs(ref - val):.2e})")
-        val = ref
-    return val
-
-
-def overlap_after(state: MotionalState, fp: FPParams, **kwargs) -> float:
-    """Probability to remain in the initial state after drift/diffusion."""
+        raise UnsupportedDampingError("exact overlap slopes require g = 0")
+    u, v = fp.alpha * fp.tbar, fp.d * fp.tbar
     if isinstance(state, GaussianState):
+        p, p_u, p_v = _gaussian_slopes(2.0 * state.cov, u, v)
+    elif isinstance(state, CatState):
+        p, p_u, p_v = _cat_slopes(state, u, v)
+    elif isinstance(state, FockSuperposition):
+        p, p_u, p_v = _fock_slopes(state, u, v)
+    else:
+        raise ConfigError(f"unsupported state type {type(state).__name__}")
+    return p, p_u * fp.tbar, p_v * fp.tbar
+
+
+def overlap_after(state: MotionalState, fp: FPParams) -> float:
+    """Probability to remain in the initial state after drift/diffusion;
+    Gaussian states also under damping g."""
+    if isinstance(state, GaussianState) and fp.g != 0.0:
         return overlap_gaussian(state, evolve_gaussian(state, fp))
-    if isinstance(state, CatState):
-        return evolve_and_overlap_cat(state, fp)
-    if isinstance(state, FockSuperposition):
-        return evolve_and_overlap_fock(state, fp, **kwargs)
-    raise ConfigError(f"unsupported state type {type(state).__name__}")
+    return overlap_slopes(state, fp)[0]
 
 
 def state_nbar(state: MotionalState) -> float:

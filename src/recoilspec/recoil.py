@@ -9,7 +9,8 @@ trap-frequency weights phi = (sin nu t, cos nu t) obey phi' = [[0, nu],
 those products solve one larger linear system.  The Doppler damping rate g
 is the exact detuning derivative of the momentum drift, a Frechet derivative
 of the single-integral exponential (Al-Mohy & Higham, SIAM J. Matrix Anal.
-Appl. 30:1639, 2009).
+Appl. 30:1639, 2009); the detuning slope of the diffusion is the same kind
+of derivative of the double-integral exponential.
 """
 
 from __future__ import annotations
@@ -109,13 +110,12 @@ def _single_integrals(p: PulseParams):
     return big[:3] @ x0, dbig[:3] @ x0
 
 
-def _double_integrals(p: PulseParams):
-    """(J_ss, J_sc, J_cs, J_cc) with J_fg = int_0^tau dt int_0^t dt'
-    f(nu t) g(nu t') Re<sy(t) sy(t')>.
+def _double_block(p: PulseParams):
+    """The 36x36 block whose exponential holds the double integrals.
 
     State (J[4], W[16], S[16]): S = phi (x) phi (x) s~ and W_g = phi (x) u_g
     with u_g' = A u_g + R g(nu t) s~, so that e_y . u_g(t) is the inner
-    integral: one 36x36 block.
+    integral.
     """
     a, phi = _scaled_generators(p)
     step = np.kron(_I2, np.kron(phi, _I4)) + np.kron(_I4, a)
@@ -125,8 +125,14 @@ def _double_integrals(p: PulseParams):
     b[20:, 20:] = step + np.kron(phi, np.eye(8))
     for f, g in np.ndindex(2, 2):
         b[2 * f + g, 4 + 8 * g + 4 * f + _Y] = p.pulse_duration
+    return b
+
+
+def _double_integrals(p: PulseParams):
+    """(J_ss, J_sc, J_cs, J_cc) with J_fg = int_0^tau dt int_0^t dt'
+    f(nu t) g(nu t') Re<sy(t) sy(t')>."""
     with np.errstate(all="ignore"):
-        return expm(b)[:4, 32:] @ _Z0                 # S(0) = cos cos z0
+        return expm(_double_block(p))[:4, 32:] @ _Z0  # S(0) = cos cos z0
 
 
 def compute_coefficients(p: PulseParams) -> DriftDiffusion:
@@ -167,6 +173,24 @@ def drift_slope(p: PulseParams) -> float:
     """Exact d alpha_p / d Delta."""
     (_, i_cos, _), (_, di_cos, _) = _single_integrals(p)
     return _slope(p, i_cos, di_cos)
+
+
+def detuning_slopes(p: PulseParams) -> tuple[float, float]:
+    """Exact (d alpha_p / d Delta, d D_pp / d Delta).
+
+    D_pp = (eta Omega)^2 J_cc - alpha_p^2, and d J_cc / d Delta is the
+    Frechet derivative of the double-integral exponential along dA/dDelta.
+    """
+    (_, i_cos, _), (_, di_cos, _) = _single_integrals(p)
+    db = np.zeros((36, 36))
+    db[4:20, 4:20] = db[20:, 20:] = np.kron(_I4, _DA * p.pulse_duration)
+    with np.errstate(all="ignore"):
+        _, dbig = expm_frechet(_double_block(p), db, check_finite=False)
+    dj_cc = dbig[3, 32:] @ _Z0
+    eta_rabi = p.lamb_dicke * p.rabi
+    slope = _slope(p, i_cos, di_cos)
+    alpha_p = abs(eta_rabi / _SQRT2 * i_cos)
+    return slope, float(eta_rabi * eta_rabi * dj_cc - 2.0 * alpha_p * slope)
 
 
 def doppler_damping(p: PulseParams) -> float:

@@ -101,12 +101,14 @@ def test_resonance_has_central_dip():
     assert all(0.0 <= v <= 1.0 for v in p)
 
 
-def test_threads_do_not_change_output():
-    a = run_cli("coeffs", "--set", "coeffs.points=5", "--threads", "1",
-                check=True)
-    b = run_cli("coeffs", "--set", "coeffs.points=5", "--threads", "4",
-                check=True)
-    assert a.stdout == b.stdout
+def test_shift_keeps_c_const_where_damping_underflows():
+    # g scales with eta^2 and is 0 at eta = 1e-200; c_const does not depend
+    # on g and stays 1 for the vacuum
+    proc = run_cli("shift", "--set", "pulse.lamb_dicke=1e-200",
+                   "--format", "json", check=True)
+    doc = json.loads(proc.stdout)
+    row = dict(zip(doc["columns"], doc["rows"][0]))
+    assert row["c_const"] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_long_pulse_coeffs_exit_0_with_finite_rows():
@@ -142,7 +144,7 @@ def test_non_finite_config_file_value_exits_2(tmp_path):
 
 def test_non_finite_row_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_budget",
-                        lambda cfg, threads: (["x"], [[1.0], [math.nan]]))
+                        lambda cfg: (["x"], [[1.0], [math.nan]]))
     assert cli.main(["budget"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -46,6 +46,17 @@ def test_asymmetry_constant_is_unity_for_centered_gaussians():
             assert c == pytest.approx(1.0, abs=1e-10)
 
 
+def test_asymmetry_constant_does_not_depend_on_damping():
+    # c = 2 (d log P / dg) / tbar; at g = 0 it must not collapse to 0
+    for state in [GaussianState.vacuum(), GaussianState.squeezed(0.7)]:
+        fp = FPParams(alpha=0.3, d=0.05, tbar=3.0)
+        _, delta_p, c0 = asymmetric_overlap(state, fp)
+        _, _, c1 = asymmetric_overlap(
+            state, FPParams(alpha=0.3, d=0.05, tbar=3.0, g=1e-3))
+        assert delta_p == 0.0
+        assert c0 == pytest.approx(c1, abs=1e-10)
+
+
 def test_vacuum_shift_matches_analytic_form(dipole_pulse):
     res = two_point_shift(GaussianState.vacuum(), dipole_pulse,
                           neglect_diffusion=True)

