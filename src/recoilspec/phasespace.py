@@ -320,7 +320,8 @@ def _fock_slopes(f: FockSuperposition, u: float, v: float):
     f0 = np.abs(g0) ** 2
     f1 = 2.0 * np.real(np.conj(g0) * g1)
     f2 = 2.0 * np.real(np.abs(g1) ** 2 + np.conj(g0) * g2)
-    wz = w * np.exp(0.5 * z * z) * math.exp(-0.5 * u * u / den) / math.sqrt(den)
+    # one exponent: F underflows gracefully where e^{z^2/2} alone overflows
+    wz = w * np.exp(0.5 * (z * z - u * u / den)) / math.sqrt(den)
     return float(wz @ f0), float(wz @ f1), 0.5 * float(wz @ f2)
 
 
