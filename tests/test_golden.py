@@ -1,6 +1,6 @@
 """CLI outputs against golden copies, captured while the pulse integrals
 came from Gauss-Legendre quadrature and the damping rate from Richardson
-differences.
+differences (the sensitivity copy later, from the exact overlap slopes).
 
 Each numeric cell must agree with its golden value to 1e-10 of the largest
 magnitude in its column; everything else must agree exactly.  To recapture a
@@ -21,6 +21,10 @@ COMMANDS = {
     "resonance": ["resonance", "--set", "resonance.points=9"],
     "shift": ["shift"],
     "budget": ["budget"],
+    "sensitivity": ["sensitivity", "--set",
+                    'sensitivity.states=["vacuum","squeezed:1.44",'
+                    '"cat:2.0","fock:2"]',
+                    "--set", "sensitivity.mode=extended"],
 }
 REL = 1e-10
 
