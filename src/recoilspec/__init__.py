@@ -15,16 +15,14 @@ from .errors import (ConfigError, ConvergenceError, FlatFlankError,
                      UnsupportedDampingError)
 from .metrology import (SensitivityResult, WorkingPoint, fisher_binary,
                         fisher_imperfect, find_working_point,
-                        phase_mismatch_sensitivity, qfi,
-                        qfi_sensitivity_bound, recoil_sensitivity, snr)
+                        phase_mismatch_sensitivity, qfi_sensitivity_bound,
+                        recoil_sensitivity, snr)
 from .pdeoracle import GridSpec, overlap_pde, overlap_pde_batch
 from .phasespace import (CatState, FockSuperposition, FPParams, GaussianState,
                          characteristic_function, evolve_gaussian,
                          overlap_after, overlap_gaussian, overlap_slopes,
                          state_nbar, state_qfi)
-from .recoil import (DriftDiffusion, compute_coefficients, detuning_slopes,
-                     doppler_damping, drift_p, drift_slope,
-                     mean_photons_per_pulse)
+from .recoil import DriftDiffusion, compute_coefficients, detuning_slopes
 from .stateopt import (OptimizationProblem, OptimizationResult,
                        SinglePhotonBudget, fock_sensitivity,
                        optimize_fock_superposition, single_photon_budget,
@@ -40,14 +38,13 @@ __all__ = [
     "NoCrossingError", "OptimizerError", "PerturbativeRegimeError",
     "RecoilSpecError", "UnsupportedDampingError",
     "SensitivityResult", "WorkingPoint", "fisher_binary", "fisher_imperfect",
-    "find_working_point", "phase_mismatch_sensitivity", "qfi",
+    "find_working_point", "phase_mismatch_sensitivity",
     "qfi_sensitivity_bound", "recoil_sensitivity", "snr",
     "GridSpec", "overlap_pde", "overlap_pde_batch",
     "CatState", "FockSuperposition", "FPParams", "GaussianState",
     "characteristic_function", "evolve_gaussian", "overlap_after",
     "overlap_gaussian", "overlap_slopes", "state_nbar", "state_qfi",
     "DriftDiffusion", "compute_coefficients", "detuning_slopes",
-    "doppler_damping", "drift_p", "drift_slope", "mean_photons_per_pulse",
     "OptimizationProblem", "OptimizationResult", "SinglePhotonBudget",
     "fock_sensitivity", "optimize_fock_superposition",
     "single_photon_budget", "squeezing_db",

@@ -137,36 +137,32 @@ def pulse_from_config(cfg: dict) -> PulseParams:
         raise ConfigError(f"bad pulse section: {exc}") from exc
 
 
-def state_from_spec(spec, state_cfg: dict | None = None):
-    """Build a motional state from 'vacuum', 'squeezed:r', 'cat:beta',
-    'fock:n' or from the structured state section."""
-    if isinstance(spec, dict):
-        fam = spec.get("family", "vacuum")
-        if fam == "vacuum":
-            return GaussianState.vacuum()
-        if fam == "squeezed":
-            return GaussianState.squeezed(float(spec.get("r", 0.0)))
-        if fam == "cat":
-            return CatState(float(spec.get("beta", 0.0)))
-        if fam == "fock":
-            return FockSuperposition.fock(int(spec.get("n", 0)))
-        if fam == "superposition":
-            entries = spec.get("coeffs")
-            if not entries:
-                raise ConfigError("superposition family needs a coeffs map")
-            return FockSuperposition.from_dict(
-                {int(k): complex(v) for k, v in entries.items()})
+# string spec 'name:arg' -> the state-section key that arg sets
+_SPEC_ARG = {"squeezed": "r", "cat": "beta", "fock": "n"}
+_FAMILIES = {
+    "vacuum": lambda s: GaussianState.vacuum(),
+    "squeezed": lambda s: GaussianState.squeezed(float(s.get("r", 0.0))),
+    "cat": lambda s: CatState(float(s.get("beta", 0.0))),
+    "fock": lambda s: FockSuperposition.fock(int(s.get("n", 0))),
+    "superposition": lambda s: FockSuperposition.from_dict(
+        {int(k): complex(v) for k, v in dict(s.get("coeffs") or {}).items()}),
+}
+
+
+def state_from_spec(spec):
+    """Build a motional state from the structured state section, or from a
+    string spec 'vacuum', 'squeezed:r', 'cat:beta' or 'fock:n', which reads
+    as the section {"family": name, <the family's key>: arg}."""
+    if not isinstance(spec, dict):
+        fam, _, arg = str(spec).partition(":")
+        spec = {"family": fam, _SPEC_ARG.get(fam, "arg"): arg or 0}
+    fam = spec.get("family", "vacuum")
+    if not isinstance(fam, str) or fam not in _FAMILIES:
         raise ConfigError(f"unknown state family {fam!r}")
-    name, _, arg = str(spec).partition(":")
-    if name == "vacuum":
-        return GaussianState.vacuum()
-    if name == "squeezed":
-        return GaussianState.squeezed(float(arg or 0.0))
-    if name == "cat":
-        return CatState(float(arg or 0.0))
-    if name == "fock":
-        return FockSuperposition.fock(int(arg or 0))
-    raise ConfigError(f"unknown state spec {spec!r}")
+    try:
+        return _FAMILIES[fam](spec)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad state {spec}: {exc}") from exc
 
 
 def _header_lines(cfg: dict, command: str) -> list[str]:
@@ -219,7 +215,7 @@ def _grid(lo: float, hi: float, n: int, log: bool = False) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def cmd_coeffs(cfg: dict):
+def cmd_coeffs(cfg: dict, _seed: int):
     sec = cfg["coeffs"]
     base = pulse_from_config(cfg)
     deltas = _grid(float(sec["detuning_hz_min"]),
@@ -239,7 +235,7 @@ def cmd_coeffs(cfg: dict):
     return cols, rows
 
 
-def cmd_resonance(cfg: dict):
+def cmd_resonance(cfg: dict, _seed: int):
     sec = cfg["resonance"]
     base = pulse_from_config(cfg)
     state = state_from_spec(cfg["state"])
@@ -266,7 +262,7 @@ def cmd_resonance(cfg: dict):
     return ["detuning_hz", "p_sym", "delta_p"], [one(d) for d in deltas]
 
 
-def cmd_sensitivity(cfg: dict):
+def cmd_sensitivity(cfg: dict, _seed: int):
     sec = cfg["sensitivity"]
     eps = _grid(float(sec["epsilon_min"]), float(sec["epsilon_max"]),
                 int(sec["points"]), log=bool(sec["log_grid"]))
@@ -303,7 +299,7 @@ def cmd_sensitivity(cfg: dict):
     return cols, rows
 
 
-def cmd_shift(cfg: dict):
+def cmd_shift(cfg: dict, _seed: int):
     sec = cfg["shift"]
     pulse = pulse_from_config(cfg)
     state = state_from_spec(cfg["state"])
@@ -321,7 +317,9 @@ def cmd_shift(cfg: dict):
 
 def cmd_optimize(cfg: dict, seed: int):
     sec = cfg["optimize"]
-    prob = OptimizationProblem(basis=tuple(int(n) for n in sec["basis"]),
+    if not all(type(n) is int for n in sec["basis"]):
+        raise ConfigError(f"optimize.basis expects integers: {sec['basis']}")
+    prob = OptimizationProblem(basis=tuple(sec["basis"]),
                                nbar_max=float(sec["nbar_max"]),
                                epsilon=float(sec["epsilon"]),
                                p0=float(sec["p0"]), mode=str(sec["mode"]))
@@ -336,7 +334,7 @@ def cmd_optimize(cfg: dict, seed: int):
     return cols, rows
 
 
-def cmd_budget(cfg: dict):
+def cmd_budget(cfg: dict, _seed: int):
     pulse = pulse_from_config(cfg)
     b = single_photon_budget(pulse, p0=float(cfg["budget"]["p0"]))
     cols = ["alpha_p", "d_pp", "epsilon", "n1", "tstar", "r_required",
@@ -346,11 +344,14 @@ def cmd_budget(cfg: dict):
     return cols, rows
 
 
-def cmd_oracle_check(cfg: dict):
+def cmd_oracle_check(cfg: dict, _seed: int):
     sec = cfg["oracle_check"]
+    n_alpha, n_d = int(sec["alpha_points"]), int(sec["d_points"])
+    if n_alpha < 1 or n_d < 1:
+        raise ConfigError("oracle grid needs at least one alpha and d point")
     fps = [FPParams(alpha=float(a), d=float(d), tbar=1.0)
-           for a in np.linspace(0.0, 2.0, int(sec["alpha_points"]))
-           for d in np.linspace(0.0, 0.3, int(sec["d_points"]))]
+           for a in np.linspace(0.0, 2.0, n_alpha)
+           for d in np.linspace(0.0, 0.3, n_d)]
     families = [("vacuum", GaussianState.vacuum()),
                 ("squeezed_1.44", GaussianState.squeezed(1.44)),
                 ("cat_2.0", CatState(2.0)),
@@ -371,14 +372,18 @@ def cmd_oracle_check(cfg: dict):
     return ["family", "points", "worst_abs_error", "status"], rows
 
 
+# command name -> handler(cfg, seed) returning (columns, rows)
+COMMANDS = {"coeffs": cmd_coeffs, "resonance": cmd_resonance,
+            "sensitivity": cmd_sensitivity, "shift": cmd_shift,
+            "optimize": cmd_optimize, "budget": cmd_budget,
+            "oracle-check": cmd_oracle_check}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recoilspec",
         description="Photon-recoil spectroscopy model calculations")
-    parser.add_argument("command",
-                        choices=["coeffs", "resonance", "sensitivity",
-                                 "shift", "optimize", "budget",
-                                 "oracle-check"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", default=None,
                         help="JSON config file; defaults used when omitted")
     parser.add_argument("--set", action="append", default=[], metavar="K=V",
@@ -394,20 +399,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
-        if args.command == "coeffs":
-            cols, rows = cmd_coeffs(cfg)
-        elif args.command == "resonance":
-            cols, rows = cmd_resonance(cfg)
-        elif args.command == "sensitivity":
-            cols, rows = cmd_sensitivity(cfg)
-        elif args.command == "shift":
-            cols, rows = cmd_shift(cfg)
-        elif args.command == "optimize":
-            cols, rows = cmd_optimize(cfg, args.seed)
-        elif args.command == "budget":
-            cols, rows = cmd_budget(cfg)
-        else:
-            cols, rows = cmd_oracle_check(cfg)
+        cols, rows = COMMANDS[args.command](cfg, args.seed)
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3

@@ -16,10 +16,9 @@ import numpy as np
 
 from .bloch import PulseParams
 from .errors import ConfigError, FlatFlankError, PerturbativeRegimeError
-from .metrology import find_root_tbar, _march_step
-from .phasespace import (FPParams, GaussianState, evolve_gaussian,
-                         overlap_after, overlap_gaussian, overlap_slopes)
-from .recoil import compute_coefficients, detuning_slopes, doppler_damping
+from .metrology import find_working_point
+from .phasespace import FPParams, GaussianState, overlap_slopes
+from .recoil import compute_coefficients, detuning_slopes
 
 MAX_GTBAR = 0.1
 
@@ -72,11 +71,6 @@ def asymmetric_overlap(state: GaussianState, fp: FPParams):
     return p_sym, delta_p, c
 
 
-def exact_overlap_with_damping(state: GaussianState, fp: FPParams) -> float:
-    """Full (non-perturbative) Gaussian overlap including damping."""
-    return overlap_gaussian(state, evolve_gaussian(state, fp))
-
-
 def two_point_shift(state: GaussianState, pulse: PulseParams,
                     p0: float = 0.5, neglect_diffusion: bool = False,
                     slope_floor: float = 1e-18) -> ShiftResult:
@@ -94,19 +88,15 @@ def two_point_shift(state: GaussianState, pulse: PulseParams,
     d0 = 0.0 if neglect_diffusion else coeffs.d_pp
     if alpha0 <= 0.0:
         raise ConfigError("drift must be positive at the chosen detuning")
-    g0 = doppler_damping(pulse)
-
-    def prob(t):
-        return overlap_after(state, FPParams(alpha=alpha0, d=d0, tbar=t))
-
-    t_max = 40.0 * math.sqrt(2.0 * math.log(2.0)) / alpha0
-    tstar = find_root_tbar(prob, p0, _march_step(state, alpha0), t_max)
-    if abs(g0 * tstar) > MAX_GTBAR:
+    tstar = find_working_point(state, d0 / alpha0, p0=p0, alpha=alpha0,
+                               allow_large_epsilon=True).tstar
+    if abs(coeffs.g * tstar) > MAX_GTBAR:
         raise PerturbativeRegimeError(
-            f"|g tbar*| = {abs(g0 * tstar):.3g} beyond perturbative range")
+            f"|g tbar*| = {abs(coeffs.g * tstar):.3g} beyond perturbative "
+            "range")
 
     p_sym, delta_p, c = asymmetric_overlap(
-        state, FPParams(alpha=alpha0, d=d0, tbar=tstar, g=g0))
+        state, FPParams(alpha=alpha0, d=d0, tbar=tstar, g=coeffs.g))
     _, dp_da, dp_dd = overlap_slopes(
         state, FPParams(alpha=alpha0, d=d0, tbar=tstar))
     da_ddelta, dd_ddelta = detuning_slopes(pulse)

@@ -162,11 +162,6 @@ def fisher_binary(p: float, slope: float) -> float:
     return slope**2 / var
 
 
-def qfi(state: MotionalState) -> float:
-    """Quantum Fisher information for momentum displacements, 4 Var(x)."""
-    return state_qfi(state)
-
-
 def qfi_sensitivity_bound(fq: float, tstar: float,
                           dalpha_ddelta: float = 1.0) -> float:
     """Upper bound on |S| implied by the quantum Cramer-Rao inequality."""

@@ -15,6 +15,7 @@ Gauss-Hermite quadrature for Fock superpositions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -24,6 +25,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from .errors import ConfigError, UnsupportedDampingError
 
 _SQRT2 = math.sqrt(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class GaussianState:
             raise ConfigError("mean must be length 2, cov 2x2")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ConfigError("covariance must be symmetric")
-        if np.linalg.det(cov) < 0.25 * (1.0 - 1e-9):
+        if not np.linalg.det(cov) >= 0.25 * (1.0 - 1e-9):   # NaN included
             raise ConfigError("covariance violates the uncertainty relation")
         self.mean = mean
         self.cov = 0.5 * (cov + cov.T)
@@ -86,6 +88,8 @@ class GaussianState:
         """Squeezed vacuum; phase pi/2 squeezes the momentum quadrature."""
         rot = np.array([[math.cos(phase), -math.sin(phase)],
                         [math.sin(phase), math.cos(phase)]])
+        if not abs(2.0 * r) <= _LOG_MAX:
+            raise ConfigError(f"squeezing r={r} overflows the covariance")
         core = 0.5 * np.diag([math.exp(-2 * r), math.exp(2 * r)])
         return cls(np.zeros(2), rot @ core @ rot.T)
 
@@ -101,8 +105,9 @@ class CatState:
     beta: float
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise ConfigError("beta must be non-negative")
+        if not (self.beta >= 0.0 and math.isfinite(self.beta * self.beta)):
+            raise ConfigError(f"beta={self.beta} must be non-negative with "
+                              "a finite square")
 
     @property
     def normalization(self) -> float:
@@ -137,17 +142,17 @@ class FockSuperposition:
 
     @classmethod
     def from_dict(cls, entries: dict[int, complex]) -> "FockSuperposition":
-        n_max = max(entries)
-        c = np.zeros(n_max + 1, dtype=complex)
+        if not entries or min(entries) < 0 or max(entries) > cls.MAX_N:
+            raise ConfigError(f"need Fock levels in [0, {cls.MAX_N}], "
+                              f"got {sorted(entries)}")
+        c = np.zeros(max(entries) + 1, dtype=complex)
         for n, v in entries.items():
             c[n] = v
         return cls(c)
 
     @classmethod
     def fock(cls, n: int) -> "FockSuperposition":
-        c = np.zeros(n + 1, dtype=complex)
-        c[n] = 1.0
-        return cls(c)
+        return cls.from_dict({n: 1.0})
 
     @property
     def nbar(self) -> float:
@@ -218,13 +223,13 @@ def overlap_gaussian(a: GaussianState, b: GaussianState) -> float:
 def _displacement_elements(m: int, n: int, lam: np.ndarray) -> np.ndarray:
     """<m| D(lam) |n> for the displacement operator D = exp(lam a^dag - lam* a)."""
     a2 = np.abs(lam) ** 2
-    if m >= n:
-        lnf = 0.5 * (gammaln(n + 1) - gammaln(m + 1))
-        return (np.exp(lnf - 0.5 * a2) * lam ** (m - n)
-                * eval_genlaguerre(n, m - n, a2))
-    lnf = 0.5 * (gammaln(m + 1) - gammaln(n + 1))
-    return (np.exp(lnf - 0.5 * a2) * (-np.conj(lam)) ** (n - m)
-            * eval_genlaguerre(m, n - m, a2))
+    if m < n:
+        m, n, lam = n, m, -np.conj(lam)
+    env = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)) - 0.5 * a2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = env * lam ** (m - n) * eval_genlaguerre(n, m - n, a2)
+    # where the envelope underflows the polynomial may overflow: 0, not NaN
+    return np.where(env > 0.0, out, 0.0)
 
 
 def characteristic_function(f: FockSuperposition, k1, k2) -> np.ndarray:
@@ -261,6 +266,8 @@ def _gaussian_slopes(sigma: np.ndarray, u: float, v: float):
     det = sxx * (float(sigma[1, 1]) + v) - float(sigma[0, 1] * sigma[1, 0])
     q = sxx / det
     p = det**-0.5 * math.exp(-0.5 * u * u * q)
+    if not p > 0.0:   # underflow, or inf * 0 once u * u or v overflows
+        return 0.0, 0.0, 0.0
     return p, -p * u * q, 0.5 * p * (u * u * q * q - q)
 
 
@@ -276,6 +283,8 @@ def _cat_slopes(c: CatState, u: float, v: float):
     k = _SQRT2 * c.beta * np.array([0.0, 2.0, 1.0])
     amp = 4.0 * n4 * np.array([0.5 + q * q, 0.5, 2.0 * q])
     den = 1.0 + v
+    if math.exp(-0.5 * u * u / den) == 0.0:   # every term underflows, and
+        return 0.0, 0.0, 0.0                  # u * u may overflow: 0 * inf
     ex = -0.5 * u * u + 1j * k * u - 0.5 * k * k * v
     h = amp * np.exp(ex / den) / math.sqrt(den)
     h_u = h * (1j * k - u) / den

@@ -164,17 +164,6 @@ def _slope(p: PulseParams, i_cos: float, di_cos: float) -> float:
     return float(np.sign(pref * i_cos) * pref * di_cos)
 
 
-def drift_p(p: PulseParams) -> float:
-    """Magnitude of the momentum drift per pulse."""
-    return abs(p.lamb_dicke * p.rabi / _SQRT2 * _single_integrals(p)[0][1])
-
-
-def drift_slope(p: PulseParams) -> float:
-    """Exact d alpha_p / d Delta."""
-    (_, i_cos, _), (_, di_cos, _) = _single_integrals(p)
-    return _slope(p, i_cos, di_cos)
-
-
 def detuning_slopes(p: PulseParams) -> tuple[float, float]:
     """Exact (d alpha_p / d Delta, d D_pp / d Delta).
 
@@ -192,12 +181,3 @@ def detuning_slopes(p: PulseParams) -> tuple[float, float]:
     alpha_p = abs(eta_rabi / _SQRT2 * i_cos)
     return slope, float(eta_rabi * eta_rabi * dj_cc - 2.0 * alpha_p * slope)
 
-
-def doppler_damping(p: PulseParams) -> float:
-    """Doppler damping rate g = eta_bar * nu * d alpha_p / d Delta."""
-    return p.eta_bar * p.mode_freq * drift_slope(p)
-
-
-def mean_photons_per_pulse(p: PulseParams) -> float:
-    """Average number of photons absorbed during one pulse."""
-    return 0.5 * p.rabi * _single_integrals(p)[0][2]

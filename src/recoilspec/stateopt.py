@@ -18,10 +18,8 @@ from .bloch import PulseParams
 from .errors import (ConfigError, ConvergenceError, NoCrossingError,
                      OptimizerError)
 from .metrology import recoil_sensitivity
-from .phasespace import FockSuperposition
+from .phasespace import FockSuperposition, _gaussian_slopes
 from .recoil import DriftDiffusion, compute_coefficients
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -33,6 +31,8 @@ class OptimizationProblem:
     mode: str = "drift-only"
 
     def __post_init__(self):
+        if not self.basis:
+            raise ConfigError("basis must name at least one Fock level")
         if len(set(self.basis)) != len(self.basis):
             raise ConfigError("basis indices must be distinct")
         if any(n < 0 for n in self.basis):
@@ -143,13 +143,6 @@ def optimize_fock_superposition(prob: OptimizationProblem,
                               n_converged=n_converged)
 
 
-def squeezed_overlap(alpha: float, d: float, tbar: float, r: float) -> float:
-    """Overlap of a momentum-squeezed vacuum with its drifted/diffused self."""
-    den = 1.0 + d * math.exp(2.0 * r) * tbar
-    return den**-0.5 * math.exp(
-        -0.5 * math.exp(2.0 * r) * (alpha * tbar) ** 2 / den)
-
-
 def single_photon_budget(pulse: PulseParams, p0: float = 0.5,
                          r_max: float = 20.0) -> SinglePhotonBudget:
     """Squeezing needed so one scattered photon on average reaches P = p0."""
@@ -160,8 +153,10 @@ def single_photon_budget(pulse: PulseParams, p0: float = 0.5,
         raise ConfigError("mean photon number per pulse must be positive")
     tstar = 1.0 / coeffs.n1
 
-    def gap(r):
-        return squeezed_overlap(coeffs.alpha_p, coeffs.d_pp, tstar, r) - p0
+    def gap(r):   # momentum-squeezed vacuum: probe + projector covariance
+        sigma = np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)])
+        return _gaussian_slopes(sigma, coeffs.alpha_p * tstar,
+                                coeffs.d_pp * tstar)[0] - p0
 
     gap_lo, gap_hi = gap(0.0), gap(r_max)
     if not (math.isfinite(gap_lo) and math.isfinite(gap_hi)):

@@ -20,12 +20,10 @@ from scipy.optimize import brentq
 from recoilspec import (CatState, FPParams, GaussianState, FockSuperposition,
                         OptimizationProblem, PulseParams, asymmetric_overlap,
                         compute_coefficients, fisher_binary, fisher_imperfect,
-                        optimize_fock_superposition, overlap_after, qfi,
-                        recoil_sensitivity, single_photon_budget,
-                        two_point_shift)
+                        detuning_slopes, optimize_fock_superposition,
+                        overlap_after, recoil_sensitivity,
+                        single_photon_budget, state_qfi, two_point_shift)
 from recoilspec import pdeoracle
-from recoilspec.doppler import exact_overlap_with_damping
-from recoilspec.recoil import drift_slope
 
 NBAR4_R = math.asinh(2.0)
 NBAR4_BETA = brentq(lambda b: b * b * math.tanh(b * b) - 4.0, 1.5, 2.5)
@@ -95,14 +93,14 @@ def test_criterion_4_qfi_suite(capsys):
             return overlap_after(state, FPParams(alpha=a, d=0.0, tbar=1.0))
         slope = (p(theta + h) - p(theta - h)) / (2 * h)
         f = fisher_binary(p(theta), slope)
-        checks.append((f"fisher->qfi {name} (0.1%)", within(f, qfi(state), 1e-3)))
+        checks.append((f"fisher->qfi {name} (0.1%)", within(f, state_qfi(state), 1e-3)))
     prob = OptimizationProblem(basis=(2, 4), nbar_max=4.0, epsilon=1e-6)
     res = optimize_fock_superposition(prob, seed=0)
     c2, c4 = res.coeffs
     checks.append((f"optimal coeffs ({c2:.5f},{c4:.5f}) vs (0.5,{math.sqrt(3)/2:.5f}) +-1e-3",
                    abs(c2 - 0.5) <= 1e-3 and abs(c4 - math.sqrt(3) / 2) <= 1e-3))
     f24 = FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(3) / 2})
-    checks.append((f"QFI={qfi(f24):.8f} vs 22 +-1e-6", abs(qfi(f24) - 22.0) <= 1e-6))
+    checks.append((f"QFI={state_qfi(f24):.8f} vs 22 +-1e-6", abs(state_qfi(f24) - 22.0) <= 1e-6))
     report(capsys, "criterion 4 (QFI suite)", checks)
 
 
@@ -129,7 +127,7 @@ def test_criterion_6_doppler_consistency(capsys, dipole_pulse):
     checks = []
     coeffs = compute_coefficients(dipole_pulse)
     alpha, d, g = coeffs.alpha_p, coeffs.d_pp, coeffs.g
-    dalpha = drift_slope(dipole_pulse)
+    dalpha = detuning_slopes(dipole_pulse)[0]
 
     # perturbative asymmetry vs exact +-g propagation for vacuum at the
     # working point, bounded by 10 (g tbar)^2 P_sym
@@ -138,8 +136,8 @@ def test_criterion_6_doppler_consistency(capsys, dipole_pulse):
     tstar = find_working_point(vac, d / alpha, alpha=alpha).tstar
     fp = FPParams(alpha=alpha, d=d, tbar=tstar, g=g)
     p_sym, delta_p, _ = asymmetric_overlap(vac, fp)
-    exact = 0.5 * (exact_overlap_with_damping(vac, fp)
-                   - exact_overlap_with_damping(
+    exact = 0.5 * (overlap_after(vac, fp)
+                   - overlap_after(
                        vac, FPParams(alpha=alpha, d=d, tbar=tstar, g=-g)))
     bound = 10.0 * (g * tstar)**2 * p_sym
     checks.append((f"|exact-perturbative|={abs(exact - delta_p):.2e} <= {bound:.2e}",

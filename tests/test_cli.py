@@ -126,6 +126,16 @@ def test_long_pulse_coeffs_exit_0_with_finite_rows():
     (["coeffs", "--set", "pulse.rabi_hz=1e200"], 3),
     (["coeffs", "--set", "pulse.linewidth_hz=1e300"], 3),
     (["budget", "--set", "pulse.linewidth_hz=1e300"], 3),
+    (["sensitivity", "--set", 'sensitivity.states=["squeezed:abc"]'], 2),
+    (["sensitivity", "--set", 'sensitivity.states=["fock:-2"]'], 2),
+    (["resonance", "--set", "state.family=fock", "--set", "state.n=-1"], 2),
+    (["resonance", "--set", "state.family=squeezed", "--set", "state.r=400"],
+     2),
+    (["resonance", "--set", "state.family=superposition",
+      "--set", 'state.coeffs={"2":"x"}'], 2),
+    (["optimize", "--set", "optimize.basis=[]"], 2),
+    (["optimize", "--set", 'optimize.basis=["a"]'], 2),
+    (["oracle-check", "--set", "oracle_check.alpha_points=0"], 2),
 ])
 def test_non_finite_inputs_and_outputs_exit_cleanly(args, code):
     proc = run_cli(*args)
@@ -142,9 +152,16 @@ def test_non_finite_config_file_value_exits_2(tmp_path):
     assert "pulse.rabi_hz" in proc.stderr
 
 
+def test_help_lists_every_command():
+    proc = run_cli("--help", check=True)
+    assert len(cli.COMMANDS) == 7
+    for name in cli.COMMANDS:
+        assert name in proc.stdout
+
+
 def test_non_finite_row_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "cmd_budget",
-                        lambda cfg: (["x"], [[1.0], [math.nan]]))
+    monkeypatch.setitem(cli.COMMANDS, "budget",
+                        lambda cfg, seed: (["x"], [[1.0], [math.nan]]))
     assert cli.main(["budget"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -156,19 +173,43 @@ _EDGE = (st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300,
          | st.floats(allow_nan=True, allow_infinity=True))
 
 
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(code, out, err):
+    assert code in (0, 2, 3), err
+    if code == 0:
+        body = [ln for ln in out.splitlines() if not ln.startswith("#")][1:]
+        assert all(math.isfinite(float(cell))
+                   for ln in body for cell in ln.split(","))
+    else:
+        assert out == "" and err != ""
+
+
 @settings(max_examples=100, deadline=None)
 @given(command=st.sampled_from(["coeffs", "budget", "shift"]),
        key=st.sampled_from(sorted(cli.DEFAULT_CONFIG["pulse"])),
        value=_EDGE)
 def test_pulse_edge_values_keep_the_exit_contract(command, key, value):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main([command, "--set", f"pulse.{key}={json.dumps(value)}"])
-    assert code in (0, 2, 3), err.getvalue()
-    if code == 0:
-        body = [ln for ln in out.getvalue().splitlines()
-                if not ln.startswith("#")][1:]
-        assert all(math.isfinite(float(cell))
-                   for ln in body for cell in ln.split(","))
-    else:
-        assert out.getvalue() == "" and err.getvalue() != ""
+    _assert_exit_contract(*_run_in_process(
+        [command, "--set", f"pulse.{key}={json.dumps(value)}"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(["vacuum", "squeezed", "cat", "fock",
+                               "superposition"]) | st.text(),
+       doppler=st.booleans(),
+       setting=st.tuples(st.sampled_from(["r", "beta"]), _EDGE)
+       | st.tuples(st.just("n"), st.sampled_from([-1, 0, 64, 65, 2**63])
+                   | st.integers()))
+def test_state_edge_values_keep_the_exit_contract(family, doppler, setting):
+    key, value = setting
+    _assert_exit_contract(*_run_in_process(
+        ["resonance", "--set", "resonance.points=1",
+         "--set", f"resonance.include_doppler={json.dumps(doppler)}",
+         "--set", f"state.family={json.dumps(family)}",
+         "--set", f"state.{key}={json.dumps(value)}"]))

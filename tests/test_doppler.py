@@ -1,5 +1,6 @@
 """Velocity-dependent damping: overlap asymmetry and line-pull estimates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,16 +8,13 @@ import pytest
 
 from recoilspec import (FPParams, FlatFlankError, GaussianState,
                         PerturbativeRegimeError, PulseParams,
-                        asymmetric_overlap, evolve_gaussian, overlap_gaussian,
-                        two_point_shift)
-from recoilspec.doppler import exact_overlap_with_damping
+                        asymmetric_overlap, evolve_gaussian, overlap_after,
+                        overlap_gaussian, two_point_shift)
 
 
 def _exact_delta_p(state, alpha, d, tbar, g):
-    plus = exact_overlap_with_damping(state, FPParams(alpha=alpha, d=d,
-                                                      tbar=tbar, g=g))
-    minus = exact_overlap_with_damping(state, FPParams(alpha=alpha, d=d,
-                                                       tbar=tbar, g=-g))
+    plus = overlap_after(state, FPParams(alpha=alpha, d=d, tbar=tbar, g=g))
+    minus = overlap_after(state, FPParams(alpha=alpha, d=d, tbar=tbar, g=-g))
     return plus - minus
 
 
@@ -30,10 +28,9 @@ def test_first_order_asymmetry_against_exact():
         exact = 0.5 * _exact_delta_p(state, alpha, d, tbar, g)
         assert delta_p == pytest.approx(exact, abs=50.0 * g**2)
         sym = 0.5 * (
-            exact_overlap_with_damping(state, FPParams(alpha=alpha, d=d,
-                                                       tbar=tbar, g=g))
-            + exact_overlap_with_damping(state, FPParams(alpha=alpha, d=d,
-                                                         tbar=tbar, g=-g)))
+            overlap_after(state, FPParams(alpha=alpha, d=d, tbar=tbar, g=g))
+            + overlap_after(state, FPParams(alpha=alpha, d=d, tbar=tbar,
+                                            g=-g)))
         assert p_sym == pytest.approx(sym, abs=50.0 * g**2)
 
 
@@ -92,27 +89,26 @@ def test_shift_linear_in_damping(dipole_pulse):
 
 def test_shift_solves_for_damping_once(dipole_pulse, monkeypatch):
     import recoilspec.doppler as doppler
-    import recoilspec.recoil as recoil
 
     calls = []
-    solve = recoil.doppler_damping
+    coefficients = doppler.compute_coefficients
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+    def doubled_g(p):
+        calls.append(p)
+        c = coefficients(p)
+        return dataclasses.replace(c, g=2.0 * c.g)
 
-    monkeypatch.setattr(recoil, "doppler_damping", counting)
-    monkeypatch.setattr(doppler, "doppler_damping", counting)
     state = GaussianState.squeezed(0.5)
     res = two_point_shift(state, dipole_pulse)
-    assert len(calls) == 1
-
-    # the detuning scan reads only alpha_p and D_pp, so computing g there
-    # too, as the shift once did, gives the same result to the last bit
-    coefficients = recoil.compute_coefficients
-    monkeypatch.setattr(doppler, "compute_coefficients",
-                        lambda p, **kw: coefficients(p))
-    assert two_point_shift(state, dipole_pulse) == res
+    monkeypatch.setattr(doppler, "compute_coefficients", doubled_g)
+    res2 = two_point_shift(state, dipole_pulse)
+    # one coefficient evaluation per shift, and g is read from it alone:
+    # doubling it there doubles the odd part and the shift, bit for bit
+    assert calls == [dipole_pulse]
+    assert res2.delta_p_asym == 2.0 * res.delta_p_asym
+    assert res2.shift == 2.0 * res.shift
+    assert (res2.tstar, res2.c_const, res2.dp_ddelta) == \
+        (res.tstar, res.c_const, res.dp_ddelta)
 
 
 def test_flat_flank_raises(dipole_pulse):
@@ -131,8 +127,8 @@ def test_shift_scales_inversely_with_sensitivity(dipole_pulse):
     # shift magnitude times sensitivity equals |g| c / 4 in shared units
     from recoilspec import compute_coefficients, recoil_sensitivity
     coeffs = compute_coefficients(dipole_pulse)
-    from recoilspec.recoil import drift_slope
-    dalpha = drift_slope(dipole_pulse)
+    from recoilspec.recoil import detuning_slopes
+    dalpha = detuning_slopes(dipole_pulse)[0]
     for state, tol in [(GaussianState.vacuum(), 0.02),
                        (GaussianState.squeezed(0.8), 0.05)]:
         res = two_point_shift(state, dipole_pulse)
@@ -146,8 +142,8 @@ def test_shift_scales_inversely_with_sensitivity(dipole_pulse):
 
 def test_exact_damped_overlap_reduces_to_undamped():
     state = GaussianState.squeezed(0.5)
-    p_g = exact_overlap_with_damping(state, FPParams(alpha=0.2, d=0.02,
-                                                     tbar=3.0, g=1e-12))
+    p_g = overlap_after(state, FPParams(alpha=0.2, d=0.02, tbar=3.0,
+                                       g=1e-12))
     evolved = evolve_gaussian(state, FPParams(alpha=0.2, d=0.02, tbar=3.0))
     p_0 = overlap_gaussian(state, evolved)
     assert p_g == pytest.approx(p_0, rel=1e-9)

@@ -223,6 +223,20 @@ def test_fock_displacement_overlap_closed_form():
                 expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("state, u", [
+    (GaussianState.vacuum(), 1e155),
+    (CatState(2.0), 1e155),
+    (FockSuperposition.fock(2), 1e80),
+    (FockSuperposition.fock(12), 1e13),
+    (FockSuperposition.fock(64), 1e4),
+], ids=["vacuum", "cat", "fock2", "fock12", "fock64"])
+def test_slopes_read_zero_where_the_overlap_underflows(state, u):
+    # u * u overflows (Gaussian, cat), or the Laguerre polynomial overflows
+    # against its underflowed envelope (Fock): no 0 * inf may leak out
+    fp = FPParams(alpha=u, d=0.0, tbar=1.0)
+    assert overlap_slopes(state, fp) == (0.0, 0.0, 0.0)
+
+
 def test_nbar_and_qfi_closed_forms():
     assert state_nbar(GaussianState.vacuum()) == pytest.approx(0.0, abs=1e-14)
     r = 1.1
@@ -263,6 +277,14 @@ def test_state_validation():
         FockSuperposition([0.5, 0.5])  # not normalized
     with pytest.raises(ConfigError):
         CatState(-1.0)
+    with pytest.raises(ConfigError):
+        CatState(1e200)  # beta^2 overflows
+    for n in (-1, 65):
+        with pytest.raises(ConfigError):
+            FockSuperposition.fock(n)
+    for r in (400.0, math.inf):
+        with pytest.raises(ConfigError):
+            GaussianState.squeezed(r)
     with pytest.raises(ConfigError):
         FPParams(alpha=1.0, d=-0.1, tbar=1.0)
     for field in ("alpha", "d", "tbar", "g"):

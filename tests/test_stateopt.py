@@ -7,7 +7,7 @@ import pytest
 
 from recoilspec import (CatState, FockSuperposition, NoCrossingError,
                         OptimizationProblem, PulseParams, fock_sensitivity,
-                        optimize_fock_superposition, qfi, recoil_sensitivity,
+                        optimize_fock_superposition, recoil_sensitivity,
                         single_photon_budget, squeezing_db, state_nbar)
 
 
