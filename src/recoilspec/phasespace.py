@@ -86,10 +86,10 @@ class GaussianState:
     @classmethod
     def squeezed(cls, r: float, phase: float = math.pi / 2) -> "GaussianState":
         """Squeezed vacuum; phase pi/2 squeezes the momentum quadrature."""
-        rot = np.array([[math.cos(phase), -math.sin(phase)],
-                        [math.sin(phase), math.cos(phase)]])
         if not abs(2.0 * r) <= _LOG_MAX:
             raise ConfigError(f"squeezing r={r} overflows the covariance")
+        rot = np.array([[math.cos(phase), -math.sin(phase)],
+                        [math.sin(phase), math.cos(phase)]])
         core = 0.5 * np.diag([math.exp(-2 * r), math.exp(2 * r)])
         return cls(np.zeros(2), rot @ core @ rot.T)
 
@@ -223,13 +223,13 @@ def overlap_gaussian(a: GaussianState, b: GaussianState) -> float:
 def _displacement_elements(m: int, n: int, lam: np.ndarray) -> np.ndarray:
     """<m| D(lam) |n> for the displacement operator D = exp(lam a^dag - lam* a)."""
     a2 = np.abs(lam) ** 2
-    if m < n:
-        m, n, lam = n, m, -np.conj(lam)
-    env = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)) - 0.5 * a2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = env * lam ** (m - n) * eval_genlaguerre(n, m - n, a2)
-    # where the envelope underflows the polynomial may overflow: 0, not NaN
-    return np.where(env > 0.0, out, 0.0)
+    if m >= n:
+        lnf = 0.5 * (gammaln(n + 1) - gammaln(m + 1))
+        return (np.exp(lnf - 0.5 * a2) * lam ** (m - n)
+                * eval_genlaguerre(n, m - n, a2))
+    lnf = 0.5 * (gammaln(m + 1) - gammaln(n + 1))
+    return (np.exp(lnf - 0.5 * a2) * (-np.conj(lam)) ** (n - m)
+            * eval_genlaguerre(m, n - m, a2))
 
 
 def characteristic_function(f: FockSuperposition, k1, k2) -> np.ndarray:
@@ -320,9 +320,13 @@ def _fock_slopes(f: FockSuperposition, u: float, v: float):
     z = u / den + math.sqrt(v / den) * z
     lam = 1j * z / _SQRT2                 # e^{i z x} = D(i z / sqrt2)
     dmat = np.empty((len(z), len(idx), len(idx)), dtype=complex)
-    for a, m in enumerate(idx):
-        for b, n in enumerate(idx):
-            dmat[:, a, b] = _displacement_elements(m, n, lam)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a, m in enumerate(idx):
+            for b, n in enumerate(idx):
+                dmat[:, a, b] = _displacement_elements(m, n, lam)
+    # NaN only where the envelope underflowed against an overflowing
+    # Laguerre polynomial: the element is 0 there
+    dmat[np.isnan(dmat)] = 0.0
     # g[:, i, j] = vecs_i^dag D vecs_j, with vecs = (c, x c)
     g = np.einsum("ia,kab,jb->kij", np.conj(vecs), dmat, vecs)
     g0, g1, g2 = g[:, 0, 0], 1j * g[:, 1, 0], -g[:, 1, 1]

@@ -180,4 +180,3 @@ def detuning_slopes(p: PulseParams) -> tuple[float, float]:
     slope = _slope(p, i_cos, di_cos)
     alpha_p = abs(eta_rabi / _SQRT2 * i_cos)
     return slope, float(eta_rabi * eta_rabi * dj_cc - 2.0 * alpha_p * slope)
-
