@@ -10,14 +10,15 @@ on the flank of the resonance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bloch import PulseParams
 from .errors import ConfigError, FlatFlankError, PerturbativeRegimeError
 from .metrology import find_working_point
-from .phasespace import FPParams, GaussianState, overlap_slopes
+from .phasespace import (CatState, FPParams, FockSuperposition, GaussianState,
+                         MotionalState, overlap_slopes)
 from .recoil import compute_coefficients, detuning_slopes
 
 MAX_GTBAR = 0.1
@@ -34,44 +35,43 @@ class ShiftResult:
     dp_ddelta: float
 
 
-def _first_order_moments(s: GaussianState, fp: FPParams):
-    """Evolved mean/cov at g=0 plus their derivatives with respect to g."""
-    a, d, t = fp.alpha, fp.d, fp.tbar
-    mean = s.mean.copy()
-    mean[1] -= a * t
-    cov = s.cov + np.diag([0.0, d * t])
-    # a * t * t, not a * t**2: a float power raises where a product gives inf
-    dmean = np.array([0.0, -s.mean[1] * t + 0.5 * a * t * t])
-    dcov = np.array([[0.0, -t * s.cov[0, 1]],
-                     [-t * s.cov[0, 1], -2.0 * t * s.cov[1, 1] - d * t * t]])
-    return mean, cov, dmean, dcov
+def _reflection_symmetric(state: MotionalState) -> bool:
+    """Whether the Wigner function is even under p -> -p or under a point
+    reflection (x, p) -> (x0 - x, -p): a Gaussian with <p> = 0, every
+    (real-beta) cat, a Fock superposition with real coefficients up to a
+    global phase, or one of a single parity."""
+    if isinstance(state, GaussianState):
+        return state.mean[1] == 0.0
+    if isinstance(state, FockSuperposition):
+        c = state.coeffs
+        top = c[np.argmax(np.abs(c))]
+        real = np.all(np.abs((c * np.conj(top)).imag) <= 1e-12 * abs(top))
+        return bool(real) or len(set(np.flatnonzero(c) % 2)) == 1
+    return isinstance(state, CatState)
 
 
-def asymmetric_overlap(state: GaussianState, fp: FPParams):
+def asymmetric_overlap(state: MotionalState, fp: FPParams):
     """(P_sym, deltaP, c): symmetric overlap, first-order-in-g odd part and
-    the order-unity constant c = deltaP / ((g tbar / 2) P_sym)."""
-    if not isinstance(state, GaussianState):
-        raise ConfigError("asymmetric overlap implemented for Gaussian states")
+    the order-unity constant c = deltaP / ((g tbar / 2) P_sym).
+
+    For a reflection-symmetric probe dP/dg = (tbar / 2) P exactly at g = 0,
+    so deltaP = (g tbar / 2) P_sym and c = 1: in the characteristic-function
+    overlap the g-derivative integrates by parts in k_p to tbar / 2 plus
+    drift and diffusion terms that the symmetry cancels.
+    """
     if abs(fp.g * fp.tbar) > MAX_GTBAR:
         raise PerturbativeRegimeError(
             f"|g tbar| = {abs(fp.g * fp.tbar):.3g} beyond perturbative range")
-    mt, ct, dmt, dct = _first_order_moments(state, fp)
-    sigma = state.cov + ct
-    dm = state.mean - mt
-    inv = np.linalg.inv(sigma)
-    p_sym = float(np.linalg.det(sigma) ** -0.5
-                  * math.exp(-0.5 * dm @ inv @ dm))
-    # d/dg of log P: determinant term, quadratic-form metric term, mean term
-    dlogp = (-0.5 * float(np.trace(inv @ dct))
-             + 0.5 * float(dm @ inv @ dct @ inv @ dm)
-             + float(dm @ inv @ dmt))
-    delta_p = fp.g * p_sym * dlogp
-    # c = 2 (d log P / dg) / tbar holds at every g, g = 0 included
-    c = 2.0 * dlogp / fp.tbar if fp.tbar > 0.0 else 0.0
-    return p_sym, delta_p, c
+    if not _reflection_symmetric(state):
+        raise ConfigError(
+            "the first-order Doppler term needs a probe whose Wigner function "
+            "is even under p -> -p or under a point reflection "
+            "(x, p) -> (x0 - x, -p)")
+    p_sym = overlap_slopes(state, replace(fp, g=0.0))[0]
+    return p_sym, 0.5 * fp.g * fp.tbar * p_sym, 1.0
 
 
-def two_point_shift(state: GaussianState, pulse: PulseParams,
+def two_point_shift(state: MotionalState, pulse: PulseParams,
                     p0: float = 0.5, neglect_diffusion: bool = False,
                     slope_floor: float = 1e-18) -> ShiftResult:
     """Systematic frequency offset of the resonance sampled at P = p0.

@@ -6,10 +6,39 @@ import math
 import numpy as np
 import pytest
 
-from recoilspec import (FPParams, FlatFlankError, GaussianState,
+from recoilspec import (CatState, ConfigError, FPParams, FlatFlankError,
+                        FockSuperposition, GaussianState,
                         PerturbativeRegimeError, PulseParams,
                         asymmetric_overlap, evolve_gaussian, overlap_after,
-                        overlap_gaussian, two_point_shift)
+                        overlap_gaussian, overlap_pde_batch, two_point_shift)
+
+SYMMETRIC_NON_GAUSSIAN = {
+    "cat2": CatState(2.0),
+    "fock2": FockSuperposition.fock(2),
+    "fock24i": FockSuperposition.from_dict({2: 0.5, 4: 1j * math.sqrt(0.75)}),
+}
+# mixed parity with a relative phase i: no reflection symmetry
+ASYMMETRIC_FOCK = FockSuperposition.from_dict(
+    {0: math.sqrt(0.5), 1: 1j * math.sqrt(0.5)})
+
+
+def _moment_oracle(s, fp):
+    """(P_sym, deltaP, c) of a Gaussian from its first-order moments in g:
+    the evolved mean and covariance at g = 0 and their g-derivatives give
+    d log P / dg through a determinant, a trace and quadratic forms."""
+    a, d, t = fp.alpha, fp.d, fp.tbar
+    mt = s.mean.copy()
+    mt[1] -= a * t
+    sigma = 2.0 * s.cov + np.diag([0.0, d * t])
+    dmt = np.array([0.0, -s.mean[1] * t + 0.5 * a * t * t])
+    dct = np.array([[0.0, -t * s.cov[0, 1]],
+                    [-t * s.cov[0, 1], -2.0 * t * s.cov[1, 1] - d * t * t]])
+    dm = s.mean - mt
+    inv = np.linalg.inv(sigma)
+    p_sym = np.linalg.det(sigma) ** -0.5 * math.exp(-0.5 * dm @ inv @ dm)
+    dlogp = (-0.5 * np.trace(inv @ dct) + 0.5 * dm @ inv @ dct @ inv @ dm
+             + dm @ inv @ dmt)
+    return p_sym, fp.g * p_sym * dlogp, 2.0 * dlogp / t
 
 
 def _exact_delta_p(state, alpha, d, tbar, g):
@@ -35,12 +64,63 @@ def test_first_order_asymmetry_against_exact():
 
 
 def test_asymmetry_constant_is_unity_for_centered_gaussians():
+    # <p> = 0 with any covariance and any <x>: the moment algebra gives
+    # c = 1, and the identity deltaP = (g tbar / 2) P_sym reproduces it
+    tilted = GaussianState.squeezed(0.8, phase=math.pi / 2 + 0.3)
     for state in [GaussianState.vacuum(), GaussianState.squeezed(0.7),
-                  GaussianState.squeezed(1.44)]:
-        for alpha, d, tbar in [(0.1, 0.0, 4.0), (0.3, 0.05, 3.0)]:
-            _, _, c = asymmetric_overlap(
-                state, FPParams(alpha=alpha, d=d, tbar=tbar, g=1e-3))
-            assert c == pytest.approx(1.0, abs=1e-10)
+                  GaussianState.squeezed(1.44), tilted,
+                  GaussianState([0.7, 0.0], tilted.cov)]:
+        for alpha, d, tbar in [(0.1, 0.0, 4.0), (0.3, 0.05, 3.0),
+                               (1.0, 0.3, 0.8)]:
+            fp = FPParams(alpha=alpha, d=d, tbar=tbar, g=1e-3)
+            p_sym, delta_p, c = asymmetric_overlap(state, fp)
+            want_p, want_dp, want_c = _moment_oracle(state, fp)
+            assert want_c == pytest.approx(1.0, abs=1e-12)
+            assert c == 1.0
+            assert p_sym == pytest.approx(want_p, rel=1e-12)
+            assert delta_p == pytest.approx(want_dp, rel=1e-12)
+
+
+def test_momentum_offset_breaks_the_identity():
+    # for the vacuum displaced to <p> = m the moment algebra gives
+    # c = 1 - 2 alpha tbar m / (1 + d tbar): 1.46 here, so the identity
+    # does not apply and the probe is refused
+    state = GaussianState([0.0, -0.4], 0.5 * np.eye(2))
+    fp = FPParams(alpha=0.575, d=0.0, tbar=1.0, g=1e-3)
+    assert _moment_oracle(state, fp)[2] == pytest.approx(1.46, abs=1e-12)
+    with pytest.raises(ConfigError, match="point reflection"):
+        asymmetric_overlap(state, fp)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_NON_GAUSSIAN))
+def test_asymmetry_constant_is_unity_for_symmetric_probes(name):
+    # c from a central difference in g of the Crank-Nicolson oracle, which
+    # shares nothing with the identity
+    state = SYMMETRIC_NON_GAUSSIAN[name]
+    h = 2e-3
+    fp = FPParams(alpha=0.5, d=0.05, tbar=1.0, g=h)
+    p_plus, p_minus = overlap_pde_batch(
+        state, [fp, dataclasses.replace(fp, g=-h)])
+    _, delta_p, c = asymmetric_overlap(state, fp)
+    assert c == 1.0
+    assert 0.5 * (p_plus - p_minus) / delta_p == pytest.approx(1.0, abs=1e-3)
+
+
+def test_asymmetric_probe_is_refused():
+    h = 2e-3
+    fp = FPParams(alpha=0.5, d=0.05, tbar=1.0, g=h)
+    p_plus, p_minus = overlap_pde_batch(
+        ASYMMETRIC_FOCK, [fp, dataclasses.replace(fp, g=-h)])
+    identity = 0.5 * h * fp.tbar * overlap_after(
+        ASYMMETRIC_FOCK, dataclasses.replace(fp, g=0.0))
+    assert abs(0.5 * (p_plus - p_minus) / identity - 1.0) > 0.5
+    with pytest.raises(ConfigError, match="point reflection"):
+        asymmetric_overlap(ASYMMETRIC_FOCK, fp)
+    # real coefficients up to a global phase, or a single parity, pass
+    for entries in [{0: 0.6j, 1: 0.8j}, {1: 0.6, 3: 0.8j},
+                    {0: 0.6, 1: -0.8}]:
+        state = FockSuperposition.from_dict(entries)
+        assert asymmetric_overlap(state, fp)[2] == 1.0
 
 
 def test_asymmetry_constant_does_not_depend_on_damping():
@@ -130,7 +210,9 @@ def test_shift_scales_inversely_with_sensitivity(dipole_pulse):
     from recoilspec.recoil import detuning_slopes
     dalpha = detuning_slopes(dipole_pulse)[0]
     for state, tol in [(GaussianState.vacuum(), 0.02),
-                       (GaussianState.squeezed(0.8), 0.05)]:
+                       (GaussianState.squeezed(0.8), 0.05),
+                       (CatState(2.0), 0.05),
+                       (FockSuperposition.fock(2), 0.05)]:
         res = two_point_shift(state, dipole_pulse)
         sens = recoil_sensitivity(state, coeffs.epsilon,
                                   alpha=coeffs.alpha_p,
