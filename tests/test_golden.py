@@ -1,6 +1,8 @@
 """CLI outputs against golden copies, captured while the pulse integrals
 came from Gauss-Legendre quadrature and the damping rate from Richardson
-differences (the sensitivity copy later, from the exact overlap slopes).
+differences (the sensitivity copy later, from the exact overlap slopes; the
+cat and Fock shift copies once the Doppler term came from the exact
+identity deltaP = (g tbar / 2) P_sym, as no earlier output exists).
 
 Each numeric cell must agree with its golden value to 1e-10 of the largest
 magnitude in its column; everything else must agree exactly.  To recapture a
@@ -20,6 +22,9 @@ COMMANDS = {
     "coeffs": ["coeffs", "--set", "coeffs.points=17"],
     "resonance": ["resonance", "--set", "resonance.points=9"],
     "shift": ["shift"],
+    "shift_cat": ["shift", "--set", "state.family=cat",
+                  "--set", "state.beta=2.0"],
+    "shift_fock": ["shift", "--set", "state.family=fock", "--set", "state.n=2"],
     "budget": ["budget"],
     "sensitivity": ["sensitivity", "--set",
                     'sensitivity.states=["vacuum","squeezed:1.44",'
