@@ -85,12 +85,17 @@ class GaussianState:
 
     @classmethod
     def squeezed(cls, r: float, phase: float = math.pi / 2) -> "GaussianState":
-        """Squeezed vacuum; phase pi/2 squeezes the momentum quadrature."""
+        """Squeezed vacuum; phase pi/2 squeezes the momentum quadrature.
+
+        The covariance is rotated from the momentum-squeezed frame by
+        phase - pi/2, so the default phase gives diag(e^{2r}, e^{-2r})/2
+        exactly: a rounded cos(pi/2) would leak e^{2r} into Var(p)."""
         if not abs(2.0 * r) <= _LOG_MAX:
             raise ConfigError(f"squeezing r={r} overflows the covariance")
-        rot = np.array([[math.cos(phase), -math.sin(phase)],
-                        [math.sin(phase), math.cos(phase)]])
-        core = 0.5 * np.diag([math.exp(-2 * r), math.exp(2 * r)])
+        theta = phase - math.pi / 2
+        rot = np.array([[math.cos(theta), -math.sin(theta)],
+                        [math.sin(theta), math.cos(theta)]])
+        core = 0.5 * np.diag([math.exp(2 * r), math.exp(-2 * r)])
         return cls(np.zeros(2), rot @ core @ rot.T)
 
     def qfi_displacement(self) -> float:

@@ -237,6 +237,16 @@ def test_slopes_read_zero_where_the_overlap_underflows(state, u):
     assert overlap_slopes(state, fp) == (0.0, 0.0, 0.0)
 
 
+def test_squeezed_covariance_is_diagonal_at_the_default_phase():
+    # a rounded cos(pi/2) used to leak e^{2r} into Var(p): 4.43e-16 at
+    # r = 20, where the true value is e^{-40}/2 = 2.12e-18
+    for r in [0.0, 1.44, 15.0, 20.0]:
+        cov = GaussianState.squeezed(r).cov
+        assert cov.tolist() == [[0.5 * math.exp(2 * r), 0.0],
+                                [0.0, 0.5 * math.exp(-2 * r)]]
+    assert GaussianState.squeezed(20.0).cov[1, 1] == 2.1241771276457944e-18
+
+
 def test_nbar_and_qfi_closed_forms():
     assert state_nbar(GaussianState.vacuum()) == pytest.approx(0.0, abs=1e-14)
     r = 1.1
