@@ -314,6 +314,9 @@ def cmd_optimize(cfg: dict, seed: int):
     sec = cfg["optimize"]
     if not all(type(n) is int for n in sec["basis"]):
         raise ConfigError(f"optimize.basis expects integers: {sec['basis']}")
+    if sec["restarts"] < 1:
+        raise ConfigError(f"optimize.restarts must be at least 1, got "
+                          f"{sec['restarts']}")
     prob = OptimizationProblem(basis=tuple(sec["basis"]),
                                nbar_max=float(sec["nbar_max"]),
                                epsilon=float(sec["epsilon"]),
@@ -352,6 +355,9 @@ def cmd_oracle_check(cfg: dict, _seed: int):
                 ("cat_2.0", CatState(2.0)),
                 ("fock_2", FockSuperposition.fock(2))]
     tol = float(sec["tolerance"])
+    if tol < 0.0:
+        raise ConfigError(f"oracle_check.tolerance must be non-negative, "
+                          f"got {tol}")
     rows = []
     worst_overall = 0.0
     for name, state in families:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ConfigError, NoCrossingError
+from .errors import ConfigError, ConvergenceError, NoCrossingError
 from .phasespace import (CatState, FPParams, FockSuperposition, GaussianState,
                          MotionalState, _gaussian_slopes, overlap_after,
                          overlap_slopes, state_qfi)
@@ -86,6 +86,9 @@ def find_root_tbar(prob: Callable[[float], float], p0: float,
         if p < p0:
             root = brentq(lambda u: prob(u) - p0, t_prev, t,
                           xtol=1e-14, rtol=8.9e-16)
+            if root == 0.0:   # below brentq's resolution: nothing to use
+                raise ConvergenceError(
+                    f"overlap falls to p0={p0} below the tbar resolution")
             return float(root)
         t_prev, p_prev = t, p
         t += step

@@ -141,7 +141,7 @@ class FockSuperposition:
         if len(coeffs) - 1 > self.MAX_N:
             raise ConfigError(f"truncation above n_max={self.MAX_N}")
         norm = np.sum(np.abs(coeffs) ** 2)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:   # NaN included
             raise ConfigError("coefficients must be normalized to 1e-12")
         self.coeffs = coeffs
 
@@ -293,7 +293,8 @@ def _cat_slopes(c: CatState, u: float, v: float):
     ex = -0.5 * u * u + 1j * k * u - 0.5 * k * k * v
     h = amp * np.exp(ex / den) / math.sqrt(den)
     h_u = h * (1j * k - u) / den
-    h_v = -h * (0.5 * (1.0 + k * k) / den + ex / den**2)
+    # ex / den / den, not ex / den**2: a float power raises on overflow
+    h_v = -h * (0.5 * (1.0 + k * k) / den + ex / den / den)
     return tuple(float(np.sum(w).real) for w in (h, h_u, h_v))
 
 

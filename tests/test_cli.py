@@ -136,12 +136,50 @@ def test_long_pulse_coeffs_exit_0_with_finite_rows():
     (["optimize", "--set", "optimize.basis=[]"], 2),
     (["optimize", "--set", 'optimize.basis=["a"]'], 2),
     (["oracle-check", "--set", "oracle_check.alpha_points=0"], 2),
+    (["optimize", "--set", "optimize.restarts=1",
+      "--set", "optimize.epsilon=1e300"], 3),
+    (["sensitivity", "--format", "json",
+      "--set", "sensitivity.epsilon_max=1e300",
+      "--set", "sensitivity.points=2",
+      "--set", "sensitivity.allow_large_epsilon=true"], 0),
 ])
 def test_non_finite_inputs_and_outputs_exit_cleanly(args, code):
     proc = run_cli(*args)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    _assert_json_exit_contract(proc.returncode, proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("optimize.restarts", "0"),
+    ("optimize.restarts", "-3"),
+    ("oracle_check.tolerance", "-1e-4"),
+])
+def test_invalid_workflow_settings_exit_2_naming_their_key(key, value):
+    command = key.split(".")[0].replace("_", "-")
+    code, out, err = _run_in_process([command, "--set", f"{key}={value}"])
+    assert code == 2 and out == ""
+    assert key in err
+
+
+@pytest.mark.parametrize("command", ["shift", "resonance"])
+@pytest.mark.parametrize("state, code", [
+    (["state.family=cat", "state.beta=2.0"], 0),
+    (["state.family=fock", "state.n=2"], 0),
+    (["state.family=superposition",
+      'state.coeffs={"2":0.5,"4":0.8660254037844386}'], 0),
+    (["state.family=superposition",
+      'state.coeffs={"0":0.7071067811865476,"1":"0.7071067811865476j"}'], 2),
+], ids=["cat", "fock", "real-superposition", "complex-mixed-parity"])
+def test_doppler_commands_take_every_symmetric_probe(command, state, code):
+    args = [command, "--set", "resonance.points=3"]
+    for item in state:
+        args += ["--set", item]
+    got = _run_in_process(args)
+    assert got[0] == code, got[2]
+    _assert_exit_contract(*got)
+    if code == 2:
+        assert "point reflection" in got[2]
 
 
 def test_non_finite_config_file_value_exits_2(tmp_path):
@@ -213,3 +251,99 @@ def test_state_edge_values_keep_the_exit_contract(family, doppler, setting):
          "--set", f"resonance.include_doppler={json.dumps(doppler)}",
          "--set", f"state.family={json.dumps(family)}",
          "--set", f"state.{key}={json.dumps(value)}"]))
+
+
+
+_SPEC = (st.sampled_from(["vacuum", "squeezed:1.44", "cat:2.0", "fock:2",
+                          "fock:64", "fock:65", "squeezed:abc", "cat:1e300",
+                          "superposition"])
+         | st.builds("{}:{}".format,
+                     st.sampled_from(["squeezed", "cat", "fock"]), _EDGE)
+         | st.text(max_size=8))
+
+
+def _run_overrides(command, section, overrides):
+    """Run `command --format json` with `section.key=value` overrides, in
+    order."""
+    args = [command, "--format", "json"]
+    for key, value in overrides:
+        args += ["--set", f"{section}.{key}={json.dumps(value)}"]
+    return _run_in_process(args)
+
+
+def _assert_json_exit_contract(code, out, err):
+    """The 0/2/3 contract for JSON output: every number written is finite
+    (empty cells are allowed), and a failure writes nothing to stdout."""
+    assert code in (0, 2, 3), err
+    if code == 0:
+        rows = json.loads(out)["rows"]
+        assert all(math.isfinite(v) for row in rows for v in row
+                   if isinstance(v, float))
+    else:
+        assert out == "" and err != ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(overrides=st.lists(
+    st.tuples(st.sampled_from(["epsilon_min", "epsilon_max", "p0"]), _EDGE)
+    | st.tuples(st.just("points"), st.integers(-2, 3))
+    | st.tuples(st.sampled_from(["log_grid", "allow_large_epsilon"]),
+                st.booleans())
+    | st.tuples(st.just("mode"),
+                st.sampled_from(["drift-only", "extended"]) | st.text())
+    | st.tuples(st.just("states"), st.lists(_SPEC, max_size=3)),
+    min_size=1, max_size=4))
+def test_sensitivity_edge_values_keep_the_exit_contract(overrides):
+    _assert_json_exit_contract(*_run_overrides(
+        "sensitivity", "sensitivity", [("points", 2), *overrides]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(overrides=st.lists(
+    st.tuples(st.sampled_from(["nbar_max", "epsilon", "p0"]), _EDGE)
+    | st.tuples(st.just("restarts"), st.integers(-2, 2))
+    | st.tuples(st.just("mode"),
+                st.sampled_from(["drift-only", "extended"]) | st.text())
+    | st.tuples(st.just("basis"), st.lists(
+        st.integers(-1, 6) | st.sampled_from([65, 2**63]), max_size=3)),
+    min_size=1, max_size=3))
+def test_optimize_edge_values_keep_the_exit_contract(overrides):
+    # one restart and levels up to 6 keep each run short; a large basis
+    # is slow, not a contract break
+    _assert_json_exit_contract(*_run_overrides(
+        "optimize", "optimize", [("restarts", 1), *overrides]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(overrides=st.lists(
+    st.tuples(st.sampled_from(["alpha_points", "d_points"]),
+              st.integers(-1, 1))
+    | st.tuples(st.just("tolerance"), _EDGE),
+    min_size=1, max_size=3))
+def test_oracle_check_edge_values_keep_the_exit_contract(overrides):
+    _assert_json_exit_contract(*_run_overrides(
+        "oracle-check", "oracle_check",
+        [("alpha_points", 1), ("d_points", 1), *overrides]))
+
+
+_COEFFS = (st.sampled_from([
+    {"0": 0.6, "1": -0.8}, {"2": 0.5, "4": "0.8660254037844386j"},
+    {"0": 0.7071067811865476, "1": "0.7071067811865476j"}, {}, {"64": 1},
+    {"65": 1}, None])
+    | st.dictionaries(st.sampled_from(["0", "1", "2", "-1", "x"]),
+                      st.sampled_from([1, "1j", "x", None]) | _EDGE,
+                      max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(overrides=st.lists(
+    st.tuples(st.just("family"),
+              st.sampled_from(["vacuum", "squeezed", "cat", "fock",
+                               "superposition"]) | st.text())
+    | st.tuples(st.sampled_from(["r", "beta"]), _EDGE)
+    | st.tuples(st.just("n"), st.sampled_from([-1, 0, 64, 65, 2**63])
+                | st.integers())
+    | st.tuples(st.just("coeffs"), _COEFFS),
+    min_size=1, max_size=3))
+def test_shift_state_edge_values_keep_the_exit_contract(overrides):
+    _assert_json_exit_contract(*_run_overrides("shift", "state", overrides))

@@ -286,6 +286,8 @@ def test_state_validation():
     with pytest.raises(ConfigError):
         FockSuperposition([0.5, 0.5])  # not normalized
     with pytest.raises(ConfigError):
+        FockSuperposition([math.nan, 1.0])  # a NaN norm is not 1
+    with pytest.raises(ConfigError):
         CatState(-1.0)
     with pytest.raises(ConfigError):
         CatState(1e200)  # beta^2 overflows
