@@ -19,9 +19,8 @@ from .metrology import (SensitivityResult, WorkingPoint, fisher_binary,
                         recoil_sensitivity, snr)
 from .pdeoracle import GridSpec, overlap_pde, overlap_pde_batch
 from .phasespace import (CatState, FockSuperposition, FPParams, GaussianState,
-                         characteristic_function, evolve_gaussian,
-                         overlap_after, overlap_gaussian, overlap_slopes,
-                         state_nbar, state_qfi)
+                         evolve_gaussian, overlap_after, overlap_gaussian,
+                         overlap_slopes, state_nbar, state_qfi)
 from .recoil import DriftDiffusion, compute_coefficients, detuning_slopes
 from .stateopt import (OptimizationProblem, OptimizationResult,
                        SinglePhotonBudget, fock_sensitivity,
@@ -42,8 +41,8 @@ __all__ = [
     "qfi_sensitivity_bound", "recoil_sensitivity", "snr",
     "GridSpec", "overlap_pde", "overlap_pde_batch",
     "CatState", "FockSuperposition", "FPParams", "GaussianState",
-    "characteristic_function", "evolve_gaussian", "overlap_after",
-    "overlap_gaussian", "overlap_slopes", "state_nbar", "state_qfi",
+    "evolve_gaussian", "overlap_after", "overlap_gaussian", "overlap_slopes",
+    "state_nbar", "state_qfi",
     "DriftDiffusion", "compute_coefficients", "detuning_slopes",
     "OptimizationProblem", "OptimizationResult", "SinglePhotonBudget",
     "fock_sensitivity", "optimize_fock_superposition",

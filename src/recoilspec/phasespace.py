@@ -237,31 +237,6 @@ def _displacement_elements(m: int, n: int, lam: np.ndarray) -> np.ndarray:
             * eval_genlaguerre(m, n - m, a2))
 
 
-def characteristic_function(f: FockSuperposition, k1, k2) -> np.ndarray:
-    """chi(k) = <exp(i k1 x + i k2 p)> for a Fock superposition."""
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    lam = (1j * k1 - k2) / _SQRT2
-    chi = np.zeros(np.broadcast(k1, k2).shape, dtype=complex)
-    c = f.coeffs
-    idx = [n for n in range(len(c)) if c[n] != 0.0]
-    for m in idx:
-        for n in idx:
-            chi += np.conj(c[m]) * c[n] * _displacement_elements(m, n, lam)
-    return chi
-
-
-def cat_characteristic_function(c: CatState, k1, k2) -> np.ndarray:
-    """chi(k) for the even cat state (lobes separated along x)."""
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    n2 = c.normalization**2
-    env = np.exp(-0.25 * (k1**2 + k2**2))
-    return 2.0 * n2 * env * (np.cos(_SQRT2 * k1 * c.beta)
-                             + math.exp(-2.0 * c.beta**2)
-                             * np.cosh(_SQRT2 * k2 * c.beta))
-
-
 def _gaussian_slopes(sigma: np.ndarray, u: float, v: float):
     """(P, dP/du, dP/dv) for P = det S^{-1/2} exp(-u^2 q / 2), where
     S = sigma + diag(0, v) and q = S_xx / det S: the overlap of two
