@@ -21,7 +21,8 @@ from .pdeoracle import GridSpec, overlap_pde, overlap_pde_batch
 from .phasespace import (CatState, FockSuperposition, FPParams, GaussianState,
                          evolve_gaussian, overlap_after, overlap_gaussian,
                          overlap_slopes, state_nbar, state_qfi)
-from .recoil import DriftDiffusion, compute_coefficients, detuning_slopes
+from .recoil import (DriftDiffusion, coefficients_with_slopes,
+                     compute_coefficients, detuning_slopes)
 from .stateopt import (OptimizationProblem, OptimizationResult,
                        SinglePhotonBudget, fock_sensitivity,
                        optimize_fock_superposition, single_photon_budget,
@@ -43,7 +44,8 @@ __all__ = [
     "CatState", "FockSuperposition", "FPParams", "GaussianState",
     "evolve_gaussian", "overlap_after", "overlap_gaussian", "overlap_slopes",
     "state_nbar", "state_qfi",
-    "DriftDiffusion", "compute_coefficients", "detuning_slopes",
+    "DriftDiffusion", "coefficients_with_slopes", "compute_coefficients",
+    "detuning_slopes",
     "OptimizationProblem", "OptimizationResult", "SinglePhotonBudget",
     "fock_sensitivity", "optimize_fock_superposition",
     "single_photon_budget", "squeezing_db",

@@ -211,7 +211,10 @@ def _grid(lo: float, hi: float, n: int, log: bool = False) -> np.ndarray:
     if log:
         if lo <= 0 or hi <= 0:
             raise ConfigError("log grid needs positive bounds")
-        return np.geomspace(lo, hi, n)
+        # 10**log10(hi) may overflow near the largest float; geomspace
+        # then sets the endpoints to lo and hi exactly
+        with np.errstate(over="ignore"):
+            return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
 
 

@@ -19,7 +19,7 @@ from .errors import ConfigError, FlatFlankError, PerturbativeRegimeError
 from .metrology import find_working_point
 from .phasespace import (CatState, FPParams, FockSuperposition, GaussianState,
                          MotionalState, overlap_slopes)
-from .recoil import compute_coefficients, detuning_slopes
+from .recoil import coefficients_with_slopes
 
 MAX_GTBAR = 0.1
 
@@ -83,7 +83,7 @@ def two_point_shift(state: MotionalState, pulse: PulseParams,
     """
     if not 0.0 < p0 < 1.0:
         raise ConfigError("p0 must lie in (0, 1)")
-    coeffs = compute_coefficients(pulse)
+    coeffs, (da_ddelta, dd_ddelta) = coefficients_with_slopes(pulse)
     alpha0 = coeffs.alpha_p
     d0 = 0.0 if neglect_diffusion else coeffs.d_pp
     if alpha0 <= 0.0:
@@ -99,7 +99,6 @@ def two_point_shift(state: MotionalState, pulse: PulseParams,
         state, FPParams(alpha=alpha0, d=d0, tbar=tstar, g=coeffs.g))
     _, dp_da, dp_dd = overlap_slopes(
         state, FPParams(alpha=alpha0, d=d0, tbar=tstar))
-    da_ddelta, dd_ddelta = detuning_slopes(pulse)
     dp_ddelta = dp_da * da_ddelta + (0.0 if neglect_diffusion
                                      else dp_dd * dd_ddelta)
     if abs(dp_ddelta) < slope_floor:

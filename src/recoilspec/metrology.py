@@ -28,6 +28,9 @@ DEFAULT_EPS_MAX = 0.3
 # The working-point march gives up after 640 half-widths sqrt(2 ln 2)/alpha
 # of the vacuum overlap (scaled by e^r for squeezed probes).
 _MARCH_SPAN = 640.0
+# Factor by which a crossing inside the first march step is bracketed
+# away from 0.
+_SHRINK = 2.0**-8
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,13 @@ def _march_step(state: MotionalState, alpha: float) -> float:
 
 def find_root_tbar(prob: Callable[[float], float], p0: float,
                    step: float, t_max: float) -> float:
-    """First downward crossing of prob(t) = p0, marching then refining."""
+    """First downward crossing of prob(t) = p0, marching then refining.
+
+    A crossing in the first step has no lower bound but 0, and brentq's
+    absolute tolerance would swamp a small root.  That step is shrunk
+    geometrically to [q t, t] and refined in s = t' / t, so the tolerance
+    is relative to the root, also where the root is subnormal.
+    """
     if not 0.0 < p0 < 1.0:
         raise ConfigError("p0 must lie in (0, 1)")
     t_prev, p_prev = 0.0, prob(0.0)
@@ -84,12 +93,17 @@ def find_root_tbar(prob: Callable[[float], float], p0: float,
     while t <= t_max:
         p = prob(t)
         if p < p0:
-            root = brentq(lambda u: prob(u) - p0, t_prev, t,
-                          xtol=1e-14, rtol=8.9e-16)
-            if root == 0.0:   # below brentq's resolution: nothing to use
+            if t_prev > 0.0:
+                return float(brentq(lambda u: prob(u) - p0, t_prev, t,
+                                    xtol=1e-14, rtol=8.9e-16))
+            while prob(_SHRINK * t) < p0:   # ends: prob(0) >= p0
+                t *= _SHRINK
+            s = brentq(lambda s: prob(s * t) - p0, _SHRINK, 1.0,
+                       xtol=1e-14 * _SHRINK, rtol=8.9e-16)
+            if s * t == 0.0:   # below the tbar resolution: nothing to use
                 raise ConvergenceError(
                     f"overlap falls to p0={p0} below the tbar resolution")
-            return float(root)
+            return float(s * t)
         t_prev, p_prev = t, p
         t += step
     raise NoCrossingError(

@@ -225,18 +225,6 @@ def overlap_gaussian(a: GaussianState, b: GaussianState) -> float:
     return float(det**-0.5 * math.exp(-0.5 * dm @ np.linalg.solve(sigma, dm)))
 
 
-def _displacement_elements(m: int, n: int, lam: np.ndarray) -> np.ndarray:
-    """<m| D(lam) |n> for the displacement operator D = exp(lam a^dag - lam* a)."""
-    a2 = np.abs(lam) ** 2
-    if m >= n:
-        lnf = 0.5 * (gammaln(n + 1) - gammaln(m + 1))
-        return (np.exp(lnf - 0.5 * a2) * lam ** (m - n)
-                * eval_genlaguerre(n, m - n, a2))
-    lnf = 0.5 * (gammaln(m + 1) - gammaln(n + 1))
-    return (np.exp(lnf - 0.5 * a2) * (-np.conj(lam)) ** (n - m)
-            * eval_genlaguerre(m, n - m, a2))
-
-
 def _gaussian_slopes(sigma: np.ndarray, u: float, v: float):
     """(P, dP/du, dP/dv) for P = det S^{-1/2} exp(-u^2 q / 2), where
     S = sigma + diag(0, v) and q = S_xx / det S: the overlap of two
@@ -273,6 +261,27 @@ def _cat_slopes(c: CatState, u: float, v: float):
     return tuple(float(np.sum(w).real) for w in (h, h_u, h_v))
 
 
+def _kick_elements(idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """<m| e^{i z x} |n> for every node z and pair m, n of the levels idx.
+
+    e^{i z x} = D(lam) with lam = i z / sqrt2 imaginary, so -conj(lam) = lam
+    and both orderings share, with lo = min(m, n) and k = |m - n|,
+    sqrt(lo! / (lo + k)!) e^{-|lam|^2/2} lam^k L_lo^(k)(|lam|^2).
+    """
+    lam = (1j * z / _SQRT2)[:, None, None]
+    lo = np.minimum.outer(idx, idx)
+    k = np.abs(np.subtract.outer(idx, idx))
+    a2 = np.abs(lam) ** 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        lnf = 0.5 * (gammaln(lo + 1) - gammaln(lo + k + 1))
+        dmat = (np.exp(lnf - 0.5 * a2) * lam ** k
+                * eval_genlaguerre(lo, k, a2))
+    # NaN only where the envelope underflowed against an overflowing
+    # Laguerre polynomial: the element is 0 there
+    dmat[np.isnan(dmat)] = 0.0
+    return dmat
+
+
 @lru_cache(maxsize=16)
 def _hermite_e_rule(n: int):
     """Probabilists' Gauss-Hermite nodes and weights normalised to N(0, 1)."""
@@ -299,15 +308,7 @@ def _fock_slopes(f: FockSuperposition, u: float, v: float):
     den = 1.0 + v
     z, w = _hermite_e_rule(2 * len(f.coeffs))
     z = u / den + math.sqrt(v / den) * z
-    lam = 1j * z / _SQRT2                 # e^{i z x} = D(i z / sqrt2)
-    dmat = np.empty((len(z), len(idx), len(idx)), dtype=complex)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for a, m in enumerate(idx):
-            for b, n in enumerate(idx):
-                dmat[:, a, b] = _displacement_elements(m, n, lam)
-    # NaN only where the envelope underflowed against an overflowing
-    # Laguerre polynomial: the element is 0 there
-    dmat[np.isnan(dmat)] = 0.0
+    dmat = _kick_elements(idx, z)
     # g[:, i, j] = vecs_i^dag D vecs_j, with vecs = (c, x c)
     g = np.einsum("ia,kab,jb->kij", np.conj(vecs), dmat, vecs)
     g0, g1, g2 = g[:, 0, 0], 1j * g[:, 1, 0], -g[:, 1, 1]

@@ -128,21 +128,45 @@ def _double_block(p: PulseParams):
     return b
 
 
-def _double_integrals(p: PulseParams):
-    """(J_ss, J_sc, J_cs, J_cc) with J_fg = int_0^tau dt int_0^t dt'
-    f(nu t) g(nu t') Re<sy(t) sy(t')>."""
-    with np.errstate(all="ignore"):
-        return expm(_double_block(p))[:4, 32:] @ _Z0  # S(0) = cos cos z0
-
-
 def compute_coefficients(p: PulseParams) -> DriftDiffusion:
     """All per-pulse Fokker-Planck coefficients at the pulse detuning.
 
     Raises ConvergenceError, naming the pulse, when a coefficient is not
     finite.
     """
-    (i_sin, i_cos, i_one), (_, di_cos, _) = _single_integrals(p)
-    j_ss, j_sc, j_cs, j_cc = _double_integrals(p)
+    with np.errstate(all="ignore"):
+        j = expm(_double_block(p))[:4, 32:] @ _Z0     # S(0) = cos cos z0
+    return _assemble(p, _single_integrals(p), j)
+
+
+def coefficients_with_slopes(
+        p: PulseParams) -> tuple[DriftDiffusion, tuple[float, float]]:
+    """`compute_coefficients` and `detuning_slopes` from one evaluation of
+    each pulse block: the Frechet derivative of the 36x36 double-integral
+    block returns its exponential too.
+    """
+    single = _single_integrals(p)
+    db = np.zeros((36, 36))
+    db[4:20, 4:20] = db[20:, 20:] = np.kron(_I4, _DA * p.pulse_duration)
+    with np.errstate(all="ignore"):
+        big, dbig = expm_frechet(_double_block(p), db, check_finite=False)
+    coeffs = _assemble(p, single, big[:4, 32:] @ _Z0)
+    (_, i_cos, _), (_, di_cos, _) = single
+    # D_pp = (eta Omega)^2 J_cc - alpha_p^2, and d J_cc / d Delta is the
+    # Frechet derivative of the double-integral exponential along dA/dDelta
+    dj_cc = dbig[3, 32:] @ _Z0
+    eta_rabi = p.lamb_dicke * p.rabi
+    slope = _slope(p, i_cos, di_cos)
+    return coeffs, (slope, float(eta_rabi * eta_rabi * dj_cc
+                                 - 2.0 * coeffs.alpha_p * slope))
+
+
+def _assemble(p: PulseParams, single, j) -> DriftDiffusion:
+    """The coefficients from the single integrals with their detuning
+    derivatives and the double integrals (J_ss, J_sc, J_cs, J_cc), where
+    J_fg = int_0^tau dt int_0^t dt' f(nu t) g(nu t') Re<sy(t) sy(t')>."""
+    (i_sin, i_cos, i_one), (_, di_cos, _) = single
+    j_ss, j_sc, j_cs, j_cc = j
     eta_rabi = p.lamb_dicke * p.rabi
     with np.errstate(all="ignore"):
         ax, ap = eta_rabi / _SQRT2 * i_sin, -eta_rabi / _SQRT2 * i_cos
@@ -165,18 +189,5 @@ def _slope(p: PulseParams, i_cos: float, di_cos: float) -> float:
 
 
 def detuning_slopes(p: PulseParams) -> tuple[float, float]:
-    """Exact (d alpha_p / d Delta, d D_pp / d Delta).
-
-    D_pp = (eta Omega)^2 J_cc - alpha_p^2, and d J_cc / d Delta is the
-    Frechet derivative of the double-integral exponential along dA/dDelta.
-    """
-    (_, i_cos, _), (_, di_cos, _) = _single_integrals(p)
-    db = np.zeros((36, 36))
-    db[4:20, 4:20] = db[20:, 20:] = np.kron(_I4, _DA * p.pulse_duration)
-    with np.errstate(all="ignore"):
-        _, dbig = expm_frechet(_double_block(p), db, check_finite=False)
-    dj_cc = dbig[3, 32:] @ _Z0
-    eta_rabi = p.lamb_dicke * p.rabi
-    slope = _slope(p, i_cos, di_cos)
-    alpha_p = abs(eta_rabi / _SQRT2 * i_cos)
-    return slope, float(eta_rabi * eta_rabi * dj_cc - 2.0 * alpha_p * slope)
+    """Exact (d alpha_p / d Delta, d D_pp / d Delta)."""
+    return coefficients_with_slopes(p)[1]

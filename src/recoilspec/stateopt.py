@@ -22,6 +22,11 @@ from .phasespace import FockSuperposition, _gaussian_slopes
 from .recoil import DriftDiffusion, compute_coefficients
 
 
+# L-BFGS-B's gradient tolerance on -|S|.  Where |S| itself is smaller, every
+# start meets it at once, so the optimizer cannot locate an optimum.
+_GTOL = 1e-9
+
+
 @dataclass(frozen=True)
 class OptimizationProblem:
     basis: tuple[int, ...] = (2, 4)
@@ -124,7 +129,7 @@ def optimize_fock_superposition(prob: OptimizationProblem,
     starts = [rng.uniform(0.0, math.pi, size=dim) for _ in range(n_restarts)]
     for x0 in starts:
         res = minimize(objective, x0, method="L-BFGS-B",
-                       options={"ftol": 1e-12, "gtol": 1e-9, "eps": 1e-6})
+                       options={"ftol": 1e-12, "gtol": _GTOL, "eps": 1e-6})
         if res.success:
             n_converged += 1
         if best is None or res.fun < best.fun:
@@ -137,8 +142,11 @@ def optimize_fock_superposition(prob: OptimizationProblem,
     if len(nz) and c[nz[0]] < 0:
         c = -c
     nbar = float(ns @ c**2)
-    return OptimizationResult(coeffs=c, s_abs=fock_sensitivity(prob, c),
-                              nbar_used=nbar,
+    s_abs = fock_sensitivity(prob, c)
+    if s_abs < _GTOL:
+        raise OptimizerError(f"best |S| = {s_abs:.3g} is below the gradient "
+                             f"tolerance {_GTOL:g}: the objective is flat")
+    return OptimizationResult(coeffs=c, s_abs=s_abs, nbar_used=nbar,
                               constraint_slack=prob.nbar_max - nbar,
                               n_converged=n_converged)
 

@@ -182,6 +182,25 @@ def test_doppler_commands_take_every_symmetric_probe(command, state, code):
         assert "point reflection" in got[2]
 
 
+def test_log_grid_up_to_the_largest_float_is_quiet():
+    # geomspace overflows computing 10**log10(hi) there; no warning may
+    # reach stderr, and t* = 3 / eps gives the vacuum's last QFI bound
+    # sqrt(2) / (2 t*)
+    eps_max = sys.float_info.max
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "recoilspec.cli",
+         "sensitivity", "--set", f"sensitivity.epsilon_max={eps_max!r}",
+         "--set", "sensitivity.allow_large_epsilon=true",
+         "--set", "sensitivity.points=3",
+         "--set", 'sensitivity.states=["vacuum"]', "--format", "json"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    last = json.loads(proc.stdout)["rows"][-1]
+    assert last[0] == eps_max
+    assert last[2] == pytest.approx(math.sqrt(2.0) / 6.0 * eps_max,
+                                    rel=1e-14)
+
+
 def test_non_finite_config_file_value_exits_2(tmp_path):
     cfg = tmp_path / "nan.json"
     cfg.write_text('{"pulse": {"rabi_hz": NaN}}')

@@ -171,16 +171,16 @@ def test_shift_solves_for_damping_once(dipole_pulse, monkeypatch):
     import recoilspec.doppler as doppler
 
     calls = []
-    coefficients = doppler.compute_coefficients
+    with_slopes = doppler.coefficients_with_slopes
 
     def doubled_g(p):
         calls.append(p)
-        c = coefficients(p)
-        return dataclasses.replace(c, g=2.0 * c.g)
+        c, slopes = with_slopes(p)
+        return dataclasses.replace(c, g=2.0 * c.g), slopes
 
     state = GaussianState.squeezed(0.5)
     res = two_point_shift(state, dipole_pulse)
-    monkeypatch.setattr(doppler, "compute_coefficients", doubled_g)
+    monkeypatch.setattr(doppler, "coefficients_with_slopes", doubled_g)
     res2 = two_point_shift(state, dipole_pulse)
     # one coefficient evaluation per shift, and g is read from it alone:
     # doubling it there doubles the odd part and the shift, bit for bit
@@ -189,6 +189,29 @@ def test_shift_solves_for_damping_once(dipole_pulse, monkeypatch):
     assert res2.shift == 2.0 * res.shift
     assert (res2.tstar, res2.c_const, res2.dp_ddelta) == \
         (res.tstar, res.c_const, res.dp_ddelta)
+
+
+def test_shift_evaluates_each_pulse_block_once(dipole_pulse, monkeypatch):
+    import recoilspec.recoil as recoil
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(recoil, name, wrapper)
+
+    for name in ("_single_integrals", "expm", "expm_frechet"):
+        counted(name, getattr(recoil, name))
+    two_point_shift(FockSuperposition.fock(2), dipole_pulse)
+    # one 15x15 Frechet for the single integrals, one 36x36 Frechet whose
+    # exponential also gives the double integrals
+    assert sorted(calls) == ["_single_integrals", "expm_frechet",
+                             "expm_frechet"]
+    calls.clear()
+    recoil.compute_coefficients(dipole_pulse)
+    assert sorted(calls) == ["_single_integrals", "expm", "expm_frechet"]
 
 
 def test_flat_flank_raises(dipole_pulse):

@@ -1,9 +1,11 @@
 """Working points, sensitivity figures and Fisher-information machinery."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
                         GaussianState, NoCrossingError, fisher_binary,
@@ -24,6 +26,21 @@ def test_squeezed_working_point_closed_form():
         wp = find_working_point(GaussianState.squeezed(r), 0.0)
         assert wp.tstar == pytest.approx(
             math.exp(-r) * math.sqrt(2 * LN2), rel=1e-10)
+
+
+@pytest.mark.parametrize("eps", [1e6, 1e13, 1e20, 1e100, 1e300,
+                                 sys.float_info.max])
+def test_small_working_point_keeps_its_digits(eps):
+    # vacuum: (1 + x)^{-1/2} e^{-t^2 / (2 (1 + x))} = 1/2 with x = eps t;
+    # solved in x, where the root is near 3, the tolerance is relative
+    def log_gap(x):
+        t = x / eps
+        return -0.5 * math.log1p(x) - t * t / (2.0 * (1.0 + x)) + LN2
+
+    want = brentq(log_gap, 0.0, 10.0, xtol=1e-15, rtol=8.9e-16) / eps
+    wp = find_working_point(GaussianState.vacuum(), eps,
+                            allow_large_epsilon=True)
+    assert wp.tstar == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_working_point_probability_is_exact():

@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import eval_genlaguerre, gammaln
 
 from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
                         GaussianState, UnsupportedDampingError,
                         evolve_gaussian, overlap_after, overlap_gaussian,
                         overlap_slopes, state_nbar, state_qfi)
-from recoilspec.phasespace import _displacement_elements
+from recoilspec.phasespace import (_fock_slopes, _hermite_e_rule,
+                                   _kick_elements)
 
 SQRT2 = math.sqrt(2.0)
 LN2 = math.log(2.0)
@@ -20,6 +22,18 @@ LN2 = math.log(2.0)
 def squeezed_overlap_closed_form(alpha, d, tbar, r):
     den = 1.0 + d * math.exp(2 * r) * tbar
     return den**-0.5 * math.exp(-0.5 * math.exp(2 * r) * (alpha * tbar) ** 2 / den)
+
+
+def _displacement_elements(m: int, n: int, lam: np.ndarray) -> np.ndarray:
+    """<m| D(lam) |n> for the displacement operator D = exp(lam a^dag - lam* a)."""
+    a2 = np.abs(lam) ** 2
+    if m >= n:
+        lnf = 0.5 * (gammaln(n + 1) - gammaln(m + 1))
+        return (np.exp(lnf - 0.5 * a2) * lam ** (m - n)
+                * eval_genlaguerre(n, m - n, a2))
+    lnf = 0.5 * (gammaln(m + 1) - gammaln(n + 1))
+    return (np.exp(lnf - 0.5 * a2) * (-np.conj(lam)) ** (n - m)
+            * eval_genlaguerre(m, n - m, a2))
 
 
 def characteristic_function(f: FockSuperposition, k1, k2) -> np.ndarray:
@@ -259,6 +273,68 @@ def test_slopes_read_zero_where_the_overlap_underflows(state, u):
     # against its underflowed envelope (Fock): no 0 * inf may leak out
     fp = FPParams(alpha=u, d=0.0, tbar=1.0)
     assert overlap_slopes(state, fp) == (0.0, 0.0, 0.0)
+
+
+def _fock_slopes_loop(f: FockSuperposition, u: float, v: float):
+    """`_fock_slopes` with one `_displacement_elements` call per level
+    pair: the loop formulation the broadcast kernel replaced."""
+    c = np.append(f.coeffs, 0.0)
+    off = np.sqrt(np.arange(1, len(c)) / 2.0)
+    vecs = np.array([c, (np.diag(off, 1) + np.diag(off, -1)) @ c])
+    idx = np.flatnonzero(np.any(vecs != 0.0, axis=0))
+    vecs = vecs[:, idx]
+    den = 1.0 + v
+    z, w = _hermite_e_rule(2 * len(f.coeffs))
+    z = u / den + math.sqrt(v / den) * z
+    lam = 1j * z / SQRT2
+    dmat = np.empty((len(z), len(idx), len(idx)), dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a, m in enumerate(idx):
+            for b, n in enumerate(idx):
+                dmat[:, a, b] = _displacement_elements(m, n, lam)
+    dmat[np.isnan(dmat)] = 0.0
+    g = np.einsum("ia,kab,jb->kij", np.conj(vecs), dmat, vecs)
+    g0, g1, g2 = g[:, 0, 0], 1j * g[:, 1, 0], -g[:, 1, 1]
+    f0 = np.abs(g0) ** 2
+    f1 = 2.0 * np.real(np.conj(g0) * g1)
+    f2 = 2.0 * np.real(np.abs(g1) ** 2 + np.conj(g0) * g2)
+    wz = w * np.exp(0.5 * (z * z - u * u / den)) / math.sqrt(den)
+    return float(wz @ f0), float(wz @ f1), 0.5 * float(wz @ f2)
+
+
+def test_broadcast_displacements_equal_the_per_element_oracle():
+    # |lam|^2 >= 5e7 at the last two nodes: e^{-|lam|^2/2} underflows
+    # while L_lo^(k) or lam^k overflows, so the NaN -> 0 path runs
+    z = np.array([0.0, 5e-324, 1e-300, 0.3, -1.7, 6.0, 40.0, -1e4, 1e13])
+    lam = 1j * z / SQRT2
+    levels = np.arange(FockSuperposition.MAX_N + 1)
+    got = _kick_elements(levels, z)
+    nan_seen = False
+    with np.errstate(invalid="ignore", over="ignore"):
+        for m in levels:
+            for n in levels:
+                want = _displacement_elements(m, n, lam)
+                nan_seen |= bool(np.isnan(want).any())
+                want[np.isnan(want)] = 0.0
+                np.testing.assert_array_equal(got[:, m, n], want)
+    assert nan_seen
+
+
+UV_EDGES = [0.0, 5e-324, 1e-300, 1.0, 50.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=st.dictionaries(
+           st.integers(0, FockSuperposition.MAX_N),
+           st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 2.0 * math.pi)),
+           min_size=1, max_size=5),
+       u=st.sampled_from(UV_EDGES), v=st.sampled_from(UV_EDGES))
+def test_fock_slopes_equal_the_loop_formulation(levels, u, v):
+    norm = math.sqrt(sum(r * r for r, _ in levels.values()))
+    state = FockSuperposition.from_dict(
+        {n: r / norm * complex(math.cos(phi), math.sin(phi))
+         for n, (r, phi) in levels.items()})
+    assert _fock_slopes(state, u, v) == _fock_slopes_loop(state, u, v)
 
 
 def test_squeezed_covariance_is_diagonal_at_the_default_phase():

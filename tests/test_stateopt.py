@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from recoilspec import (CatState, FockSuperposition, NoCrossingError,
-                        OptimizationProblem, PulseParams, fock_sensitivity,
-                        optimize_fock_superposition, recoil_sensitivity,
-                        single_photon_budget, squeezing_db, state_nbar)
+                        OptimizationProblem, OptimizerError, PulseParams,
+                        fock_sensitivity, optimize_fock_superposition,
+                        recoil_sensitivity, single_photon_budget,
+                        squeezing_db, state_nbar)
 
 
 def test_squeezing_db_pairs():
@@ -53,6 +54,15 @@ def test_optimizer_against_grid_oracle():
     assert res.n_converged >= 1
     # canonical sign: leading coefficient non-negative
     assert res.coeffs[0] >= 0.0
+
+
+def test_flat_objective_is_refused():
+    # at eps = 1e300 the working point is t* ~ 1e-300, and |S| ~ u* there
+    # is far below what the Fock quadrature resolves or L-BFGS-B's
+    # gradient tolerance could locate
+    prob = OptimizationProblem(basis=(2, 4), epsilon=1e300)
+    with pytest.raises(OptimizerError, match="flat"):
+        optimize_fock_superposition(prob, n_restarts=1)
 
 
 def test_optimizer_deterministic():
