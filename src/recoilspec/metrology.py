@@ -5,23 +5,25 @@ drift/diffusion model: the drift slope with respect to detuning is divided
 out, so sensitivities depend only on the probe state, the diffusion ratio
 epsilon = d/alpha, and the target probability p0.  Physical-unit numbers
 are recovered by the callers that hold a pulse configuration.  The slopes
-of the overlap are exact (`phasespace.overlap_slopes`); nothing here takes
-a finite difference.
+of the overlap are exact (the family functions behind
+`phasespace.overlap_slopes`, evaluated on arrays); nothing here takes a
+finite difference, and the working point is found by Newton on them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, ConvergenceError, NoCrossingError
 from .phasespace import (CatState, FPParams, FockSuperposition, GaussianState,
-                         MotionalState, _gaussian_slopes, overlap_after,
-                         overlap_slopes, state_qfi)
+                         MotionalState, _family_slopes, _gaussian_slopes,
+                         state_qfi)
 
 _LN2 = math.log(2.0)
 DEFAULT_EPS_MAX = 0.3
@@ -31,6 +33,11 @@ _MARCH_SPAN = 640.0
 # Factor by which a crossing inside the first march step is bracketed
 # away from 0.
 _SHRINK = 2.0**-8
+# Nodes per march block, evaluated as one array.
+_BLOCK = 12
+# Newton stops once a step moves the root by less than this, relative.
+_RTOL = 4.0 * sys.float_info.epsilon
+_MAX_NEWTON = 100
 
 
 @dataclass(frozen=True)
@@ -75,39 +82,139 @@ def _march_step(state: MotionalState, alpha: float) -> float:
     return step
 
 
-def find_root_tbar(prob: Callable[[float], float], p0: float,
-                   step: float, t_max: float) -> float:
-    """First downward crossing of prob(t) = p0, marching then refining.
+def _bracketed_newton(f: Callable[[float], tuple[float, float]],
+                      a: float, b: float, fa: float, x: float) -> float:
+    """Root of f in the bracket a < b, from the start x; f(a) = fa != 0
+    and f(b) differ in sign, and f(x) returns (f, df/dx).
 
-    A crossing in the first step has no lower bound but 0, and brentq's
-    absolute tolerance would swamp a small root.  That step is shrunk
-    geometrically to [q t, t] and refined in s = t' / t, so the tolerance
-    is relative to the root, also where the root is subnormal.
+    Newton stops at the first iterate whose step is below _RTOL relative
+    to it, or takes its last step unevaluated once two Newton steps in a
+    row show the next one will be: Newton's error squares, so a step d
+    after a longer step d_prev predicts a next step of d (d / d_prev)^2.  It
+    keeps the bracket and bisects whenever a step would leave it; the
+    bracket ends at neighbouring floats at the latest.
+    """
+    d_prev = 0.0   # the last Newton step; 0 after a bisection
+    for _ in range(_MAX_NEWTON):
+        fx, dfx = f(x)
+        step = fx / dfx if dfx != 0.0 else math.nan
+        d, new = abs(step), x - step
+        if d <= _RTOL * abs(x):
+            return x
+        if (fx > 0.0) == (fa > 0.0):
+            a = x
+        else:
+            b = x
+        if not a < new < b:
+            new, d = 0.5 * (a + b), 0.0
+            if not a < new < b:
+                return x
+        elif d < d_prev and d * (d / d_prev) ** 2 <= _RTOL * abs(new):
+            return new
+        x, d_prev = new, d
+    raise ConvergenceError(f"Newton refinement did not settle in "
+                           f"[{a!r}, {b!r}] after {_MAX_NEWTON} steps")
+
+
+def _hermite_newton(f: Callable[[float], tuple[float, float]],
+                    a: float, b: float, fa: float, fb: float,
+                    da: float, db: float) -> float:
+    """Root of f in the bracket a < b, where f(a) = fa >= 0 > f(b) = fb
+    or the reverse, and da, db are the slopes there.  Newton on f starts
+    from the root of the cubic Hermite interpolant of the two ends, itself
+    found by Newton from the secant point."""
+    a, b = float(a), float(b)
+    if fa == 0.0:
+        return a
+    h = b - a
+    c1 = h * da
+    c2 = 3.0 * (fb - fa) - h * (2.0 * da + db)
+    c3 = 2.0 * (fa - fb) + h * (da + db)
+
+    def cubic(s):
+        return (fa + s * (c1 + s * (c2 + s * c3)),
+                c1 + s * (2.0 * c2 + 3.0 * s * c3))
+
+    s = _bracketed_newton(cubic, 0.0, 1.0, fa, float(fa / (fa - fb)))
+    return _bracketed_newton(f, a, b, fa, a + s * h)
+
+
+def _along_tbar(uv_slopes: Callable, alpha: float, d: float) -> Callable:
+    """slopes(t) = (P, dP/dtbar) at drift u = alpha t and diffusion
+    v = d t, from uv_slopes(u, v) = (P, dP/du, dP/dv); t may be an array."""
+    def slopes(t):
+        p, p_u, p_v = uv_slopes(alpha * t, d * t)
+        return p, alpha * p_u + d * p_v
+    return slopes
+
+
+def find_root_tbar(slopes: Callable, p0: float, step: float,
+                   t_max: float) -> float:
+    """First downward crossing of P(t) = p0.
+
+    slopes(t) returns (P, dP/dt) at an array of t, or at one float.  The march
+    evaluates blocks of _BLOCK nodes t_k = k step up to t_max, one array
+    each; the first node below p0 and the node before it bracket the
+    crossing, which a safeguarded Newton on the exact slope refines.  A
+    crossing in the first step has no lower bound but 0: that step is
+    shrunk geometrically to [q t, t], a block of rungs at a time, and
+    refined in s = t' / t, so the tolerance is relative to the root, also
+    where the root is subnormal.
     """
     if not 0.0 < p0 < 1.0:
         raise ConfigError("p0 must lie in (0, 1)")
-    t_prev, p_prev = 0.0, prob(0.0)
-    if p_prev < p0:
-        raise NoCrossingError("overlap already below p0 at tbar = 0")
-    t = step
-    while t <= t_max:
-        p = prob(t)
-        if p < p0:
-            if t_prev > 0.0:
-                return float(brentq(lambda u: prob(u) - p0, t_prev, t,
-                                    xtol=1e-14, rtol=8.9e-16))
-            while prob(_SHRINK * t) < p0:   # ends: prob(0) >= p0
-                t *= _SHRINK
-            s = brentq(lambda s: prob(s * t) - p0, _SHRINK, 1.0,
-                       xtol=1e-14 * _SHRINK, rtol=8.9e-16)
-            if s * t == 0.0:   # below the tbar resolution: nothing to use
-                raise ConvergenceError(
-                    f"overlap falls to p0={p0} below the tbar resolution")
-            return float(s * t)
-        t_prev, p_prev = t, p
-        t += step
+
+    def gap(t):
+        p, dp = slopes(t)
+        return float(p) - p0, float(dp)
+
+    # t_max overflows where alpha is tiny; the nodes stay finite
+    k0, t_end = 0, min(t_max, sys.float_info.max)
+    while k0 * step <= t_end:
+        with np.errstate(over="ignore"):
+            t = np.arange(k0, k0 + _BLOCK) * step
+        t = t[t <= t_end]
+        p, dp = slopes(t)
+        below = np.flatnonzero(p < p0)
+        if len(below):
+            k = below[0]
+            if k0 + k == 0:
+                raise NoCrossingError("overlap already below p0 at tbar = 0")
+            if k0 + k == 1:
+                return _first_step_root(slopes, p0, step, p[1], dp[1])
+            return _hermite_newton(gap, t[k - 1], t[k], p[k - 1] - p0,
+                                   p[k] - p0, dp[k - 1], dp[k])
+        # consecutive blocks share a node, so a bracket never spans two
+        k0 += _BLOCK - 1
     raise NoCrossingError(
         f"overlap stays above p0={p0} for tbar up to {t_max:.3g}")
+
+
+def _first_step_root(slopes: Callable, p0: float, t: float, p_t: float,
+                     dp_t: float) -> float:
+    """Crossing in (0, t], where P(t) < p0 <= P(0): rungs t q^j bracket it
+    in [q t_hi, t_hi], refined in s = t' / t_hi."""
+    while True:   # ends: the rungs reach t = 0, where P >= p0
+        rungs = t * _SHRINK ** np.arange(1, _BLOCK + 1)
+        p, dp = slopes(rungs)
+        above = np.flatnonzero(p >= p0)
+        if len(above):
+            break
+        t, p_t, dp_t = rungs[-1], p[-1], dp[-1]
+    j = above[0]
+    if j > 0:
+        t, p_t, dp_t = rungs[j - 1], p[j - 1], dp[j - 1]
+
+    def gap(s):
+        p_s, dp_s = slopes(s * t)
+        return float(p_s) - p0, t * float(dp_s)
+
+    s = _hermite_newton(gap, _SHRINK, 1.0, p[j] - p0, p_t - p0,
+                        t * dp[j], t * dp_t)
+    if s * t == 0.0:   # below the tbar resolution: nothing to use
+        raise ConvergenceError(
+            f"overlap falls to p0={p0} below the tbar resolution")
+    return float(s * t)
 
 
 def find_working_point(state: MotionalState, epsilon: float,
@@ -117,16 +224,13 @@ def find_working_point(state: MotionalState, epsilon: float,
     """Smallest tbar with overlap p0 under drift alpha and diffusion
     d = epsilon * alpha."""
     _check_epsilon(epsilon, allow_large_epsilon)
-    d = epsilon * alpha
-
-    def prob(t):
-        return overlap_after(state, FPParams(alpha=alpha, d=d, tbar=t))
-
+    fp = FPParams(alpha=alpha, d=epsilon * alpha, tbar=0.0)   # validates
     r_eff = 0.0
     if isinstance(state, GaussianState):
         r_eff = 0.5 * math.log(2.0 * float(np.max(np.linalg.eigvalsh(state.cov))))
     t_max = _MARCH_SPAN * math.exp(abs(r_eff)) * math.sqrt(2.0 * _LN2) / alpha
-    root = find_root_tbar(prob, p0, _march_step(state, alpha), t_max)
+    slopes = _along_tbar(partial(_family_slopes, state), fp.alpha, fp.d)
+    root = find_root_tbar(slopes, p0, _march_step(state, alpha), t_max)
     return WorkingPoint(tstar=root, p0=p0, delta0=delta0)
 
 
@@ -146,10 +250,11 @@ def recoil_sensitivity(state: MotionalState, epsilon: float,
     wp = find_working_point(state, epsilon, p0=p0, alpha=alpha,
                             allow_large_epsilon=allow_large_epsilon)
     t = wp.tstar
-    _, dp_da, dp_dd = overlap_slopes(
-        state, FPParams(alpha=alpha, d=epsilon * alpha, tbar=t))
-    s_drift = dp_da / t
-    s_diff = epsilon * dp_dd / t if mode == "extended" else 0.0
+    # S = (1/t) dP/dalpha = dP/du, read directly: t dP/du underflows
+    # where t* is tiny
+    _, p_u, p_v = _family_slopes(state, alpha * t, epsilon * alpha * t)
+    s_drift = float(p_u)
+    s_diff = epsilon * float(p_v) if mode == "extended" else 0.0
     s_abs = abs(s_drift + s_diff)
     slope = t * (s_drift + s_diff) * dalpha_ddelta
     fisher = fisher_binary(p0, slope)
@@ -215,11 +320,9 @@ def phase_mismatch_sensitivity(r: float, dphi: float, epsilon: float,
     sigma = probe.cov + proj.cov
     d = epsilon * alpha
 
-    def slopes(t):
-        return _gaussian_slopes(sigma, alpha * t, d * t)
-
+    uv_slopes = partial(_gaussian_slopes, sigma)
     t_max = _MARCH_SPAN * math.exp(r) * math.sqrt(2.0 * _LN2) / alpha
-    tstar = find_root_tbar(lambda t: slopes(t)[0], p0,
+    tstar = find_root_tbar(_along_tbar(uv_slopes, alpha, d), p0,
                            _march_step(probe, alpha), t_max)
     # |S| = |dP/dalpha| / tstar = |dP/du|
-    return abs(slopes(tstar)[1])
+    return abs(float(uv_slopes(alpha * tstar, d * tstar)[1]))

@@ -8,8 +8,9 @@ so the choice is fixed purely for reproducibility.
 Gaussian states evolve by closed-form moment solutions (exact also with the
 Doppler damping g).  At g = 0 every overlap and its exact drift and
 diffusion slopes come from one route, the 1-D displacement fidelity
-(`overlap_slopes`): closed forms for Gaussian and cat states, exact
-Gauss-Hermite quadrature for Fock superpositions.
+(`_family_slopes` on arrays of points, `overlap_slopes` at one point):
+closed forms for Gaussian and cat states, exact Gauss-Hermite quadrature
+for Fock superpositions.
 """
 
 from __future__ import annotations
@@ -225,40 +226,48 @@ def overlap_gaussian(a: GaussianState, b: GaussianState) -> float:
     return float(det**-0.5 * math.exp(-0.5 * dm @ np.linalg.solve(sigma, dm)))
 
 
-def _gaussian_slopes(sigma: np.ndarray, u: float, v: float):
+def _gaussian_slopes(sigma: np.ndarray, u, v):
     """(P, dP/du, dP/dv) for P = det S^{-1/2} exp(-u^2 q / 2), where
     S = sigma + diag(0, v) and q = S_xx / det S: the overlap of two
     zero-displacement Gaussians whose covariances sum to sigma, after a
-    momentum kick drawn from N(u, v)."""
+    momentum kick drawn from N(u, v).  Arrays u, v broadcast."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     sxx = float(sigma[0, 0])
     det = sxx * (float(sigma[1, 1]) + v) - float(sigma[0, 1] * sigma[1, 0])
     q = sxx / det
-    p = det**-0.5 * math.exp(-0.5 * u * u * q)
-    if not p > 0.0:   # underflow, or inf * 0 once u * u or v overflows
-        return 0.0, 0.0, 0.0
-    return p, -p * u * q, 0.5 * p * (u * u * q * q - q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = det**-0.5 * np.exp(-0.5 * u * u * q)
+        # P = 0 on underflow, and inf * 0 once u * u or v overflows
+        live = p > 0.0
+        return tuple(np.where(live, w, 0.0) for w in
+                     (p, -p * u * q, 0.5 * p * (u * u * q * q - q)))
 
 
-def _cat_slopes(c: CatState, u: float, v: float):
+def _cat_slopes(c: CatState, u, v):
     """(P, dP/du, dP/dv) for the even cat, from the three cosine terms of
     |G(y)|^2 = 4 N^4 e^{-y^2/2} (cos(sqrt2 beta y) + e^{-2 beta^2})^2.
 
     Each term's average E[e^{-y^2/2 + i k y}] over y ~ N(u, v) is
     (1+v)^{-1/2} exp(e / (1+v)) with e = -u^2/2 + i k u - k^2 v / 2.
+    Arrays u, v broadcast; the terms run along a trailing axis.
     """
     q = math.exp(-2.0 * c.beta**2)
     n4 = c.normalization**4
     k = _SQRT2 * c.beta * np.array([0.0, 2.0, 1.0])
     amp = 4.0 * n4 * np.array([0.5 + q * q, 0.5, 2.0 * q])
+    u = np.asarray(u, dtype=float)[..., None]
+    v = np.asarray(v, dtype=float)[..., None]
     den = 1.0 + v
-    if math.exp(-0.5 * u * u / den) == 0.0:   # every term underflows, and
-        return 0.0, 0.0, 0.0                  # u * u may overflow: 0 * inf
-    ex = -0.5 * u * u + 1j * k * u - 0.5 * k * k * v
-    h = amp * np.exp(ex / den) / math.sqrt(den)
-    h_u = h * (1j * k - u) / den
-    # ex / den / den, not ex / den**2: a float power raises on overflow
-    h_v = -h * (0.5 * (1.0 + k * k) / den + ex / den / den)
-    return tuple(float(np.sum(w).real) for w in (h, h_u, h_v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # every term underflows, and u * u may overflow: 0 * inf
+        live = np.exp(-0.5 * u * u / den)[..., 0] > 0.0
+        ex = -0.5 * u * u + 1j * k * u - 0.5 * k * k * v
+        h = amp * np.exp(ex / den) / np.sqrt(den)
+        h_u = h * (1j * k - u) / den
+        # ex / den / den, not ex / den**2, which overflows sooner
+        h_v = -h * (0.5 * (1.0 + k * k) / den + ex / den / den)
+        return tuple(np.where(live, np.sum(w, axis=-1).real, 0.0)
+                     for w in (h, h_u, h_v))
 
 
 def _kick_elements(idx: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -289,7 +298,23 @@ def _hermite_e_rule(n: int):
     return z, w / math.sqrt(2.0 * math.pi)
 
 
-def _fock_slopes(f: FockSuperposition, u: float, v: float):
+def _position_times(c: np.ndarray) -> np.ndarray:
+    """x c in the Fock basis, from the two off-diagonals of the
+    tridiagonal x = (a + a^dag) / sqrt2 (a dense product would go through
+    a multithreaded BLAS call)."""
+    off = np.sqrt(np.arange(1, len(c)) / 2.0)
+    xc = np.zeros_like(c)
+    xc[:-1] = off * c[1:]
+    xc[1:] += off * c[:-1]
+    return xc
+
+
+# Complex elements per `_kick_elements` call: a block of points shares one
+# call up to this size; a dense 65-level state takes one call per point.
+_KICK_BUDGET = 2**20
+
+
+def _fock_slopes(f: FockSuperposition, u, v):
     """(P, dP/du, dP/dv) for a Fock superposition, exact.
 
     G(y) = <psi|e^{iyx}|psi> is e^{-y^2/4} times a polynomial of degree
@@ -298,26 +323,47 @@ def _fock_slopes(f: FockSuperposition, u: float, v: float):
     the kick distribution, E_{N(u,v)}[h] = (1+v)^{-1/2} e^{-u^2/(2(1+v))}
     E_{z~N(u/(1+v), v/(1+v))}[h e^{z^2/2}], and 2 n_max + 2 probabilists'
     Gauss-Hermite nodes integrate the remaining polynomials exactly.  The
-    heat equation gives dP/dv = E[F''] / 2.
+    heat equation gives dP/dv = E[F''] / 2.  Arrays u, v broadcast; their
+    nodes form one (points x nodes) grid.
     """
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                               np.asarray(v, dtype=float))
+    shape = u.shape
+    u, v = u.reshape(-1, 1), v.reshape(-1, 1)
     c = np.append(f.coeffs, 0.0)          # room for x c one level up
-    off = np.sqrt(np.arange(1, len(c)) / 2.0)
-    vecs = np.array([c, (np.diag(off, 1) + np.diag(off, -1)) @ c])
+    vecs = np.array([c, _position_times(c)])
     idx = np.flatnonzero(np.any(vecs != 0.0, axis=0))
     vecs = vecs[:, idx]
     den = 1.0 + v
     z, w = _hermite_e_rule(2 * len(f.coeffs))
-    z = u / den + math.sqrt(v / den) * z
-    dmat = _kick_elements(idx, z)
-    # g[:, i, j] = vecs_i^dag D vecs_j, with vecs = (c, x c)
-    g = np.einsum("ia,kab,jb->kij", np.conj(vecs), dmat, vecs)
-    g0, g1, g2 = g[:, 0, 0], 1j * g[:, 1, 0], -g[:, 1, 1]
+    z = u / den + np.sqrt(v / den) * z
+    rows = max(1, _KICK_BUDGET // (z.shape[1] * len(idx) ** 2))
+    # g[..., i, j] = vecs_i^dag D vecs_j, with vecs = (c, x c)
+    g = np.concatenate([
+        np.einsum("ia,kab,jb->kij", np.conj(vecs),
+                  _kick_elements(idx, z[r:r + rows].ravel()), vecs)
+        for r in range(0, len(z), rows)]).reshape(*z.shape, 2, 2)
+    g0, g1, g2 = g[..., 0, 0], 1j * g[..., 1, 0], -g[..., 1, 1]
     f0 = np.abs(g0) ** 2
     f1 = 2.0 * np.real(np.conj(g0) * g1)
     f2 = 2.0 * np.real(np.abs(g1) ** 2 + np.conj(g0) * g2)
     # one exponent: F underflows gracefully where e^{z^2/2} alone overflows
-    wz = w * np.exp(0.5 * (z * z - u * u / den)) / math.sqrt(den)
-    return float(wz @ f0), float(wz @ f1), 0.5 * float(wz @ f2)
+    wz = w * np.exp(0.5 * (z * z - u * u / den)) / np.sqrt(den)
+    # one 1 x nodes @ nodes x 1 product per point: the order of a dot
+    return tuple((wz[:, None] @ fk[..., None]).reshape(shape) * scale
+                 for fk, scale in ((f0, 1.0), (f1, 1.0), (f2, 0.5)))
+
+
+def _family_slopes(state: MotionalState, u, v):
+    """(P, dP/du, dP/dv) arrays at drift u and diffusion v (arrays that
+    broadcast): the 1-D displacement fidelity of every probe family."""
+    if isinstance(state, GaussianState):
+        return _gaussian_slopes(2.0 * state.cov, u, v)
+    if isinstance(state, CatState):
+        return _cat_slopes(state, u, v)
+    if isinstance(state, FockSuperposition):
+        return _fock_slopes(state, u, v)
+    raise ConfigError(f"unsupported state type {type(state).__name__}")
 
 
 def overlap_slopes(state: MotionalState, fp: FPParams):
@@ -330,15 +376,8 @@ def overlap_slopes(state: MotionalState, fp: FPParams):
     """
     if fp.g != 0.0:
         raise UnsupportedDampingError("exact overlap slopes require g = 0")
-    u, v = fp.alpha * fp.tbar, fp.d * fp.tbar
-    if isinstance(state, GaussianState):
-        p, p_u, p_v = _gaussian_slopes(2.0 * state.cov, u, v)
-    elif isinstance(state, CatState):
-        p, p_u, p_v = _cat_slopes(state, u, v)
-    elif isinstance(state, FockSuperposition):
-        p, p_u, p_v = _fock_slopes(state, u, v)
-    else:
-        raise ConfigError(f"unsupported state type {type(state).__name__}")
+    p, p_u, p_v = (float(x) for x in _family_slopes(
+        state, fp.alpha * fp.tbar, fp.d * fp.tbar))
     return p, p_u * fp.tbar, p_v * fp.tbar
 
 

@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 
 from .bloch import PulseParams
 from .errors import (ConfigError, ConvergenceError, NoCrossingError,
                      OptimizerError)
-from .metrology import recoil_sensitivity
+from .metrology import _hermite_newton, recoil_sensitivity
 from .phasespace import FockSuperposition, _gaussian_slopes
 from .recoil import DriftDiffusion, compute_coefficients
 
@@ -160,13 +160,15 @@ def single_photon_budget(pulse: PulseParams, p0: float = 0.5,
     if coeffs.n1 <= 0.0:
         raise ConfigError("mean photon number per pulse must be positive")
     tstar = 1.0 / coeffs.n1
+    u, v = coeffs.alpha_p * tstar, coeffs.d_pp * tstar
 
     def gap(r):   # momentum-squeezed vacuum: probe + projector covariance
         sigma = np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)])
-        return _gaussian_slopes(sigma, coeffs.alpha_p * tstar,
-                                coeffs.d_pp * tstar)[0] - p0
+        p, p_u, p_v = _gaussian_slopes(sigma, u, v)
+        # P depends on r only through u e^r and v e^{2r}
+        return float(p) - p0, float(u * p_u + 2.0 * v * p_v)
 
-    gap_lo, gap_hi = gap(0.0), gap(r_max)
+    (gap_lo, slope_lo), (gap_hi, slope_hi) = gap(0.0), gap(r_max)
     if not (math.isfinite(gap_lo) and math.isfinite(gap_hi)):
         raise ConvergenceError(f"single-photon budget overlap is not finite "
                                f"for {pulse}")
@@ -176,7 +178,8 @@ def single_photon_budget(pulse: PulseParams, p0: float = 0.5,
         if gap_hi > 0.0:
             raise NoCrossingError(
                 "overlap cannot be brought to p0 by squeezing alone")
-        r_req = float(brentq(gap, 0.0, r_max, xtol=1e-12, rtol=8.9e-16))
+        r_req = _hermite_newton(gap, 0.0, r_max, gap_lo, gap_hi,
+                                slope_lo, slope_hi)
     return SinglePhotonBudget(pulse=pulse, coeffs=coeffs, tstar=tstar,
                               r_required=r_req, nbar=math.sinh(r_req) ** 2,
                               enhancement=math.exp(r_req))

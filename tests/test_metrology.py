@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
@@ -12,6 +13,7 @@ from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
                         fisher_imperfect, find_working_point, overlap_after,
                         phase_mismatch_sensitivity, qfi_sensitivity_bound,
                         recoil_sensitivity, snr, state_qfi)
+from recoilspec import metrology
 
 LN2 = math.log(2.0)
 
@@ -43,6 +45,122 @@ def test_small_working_point_keeps_its_digits(eps):
     assert wp.tstar == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1e3, 1e6, 1e9])
+def test_large_drift_working_point_keeps_its_digits(alpha):
+    # the vacuum root solved in x = alpha t, where it is near 1.2 for every
+    # alpha: the tolerance of the search must be relative to t*
+    eps = 0.1
+
+    def log_gap(x):
+        return (-0.5 * math.log1p(eps * x)
+                - x * x / (2.0 * (1.0 + eps * x)) + LN2)
+
+    want = brentq(log_gap, 0.0, 10.0, xtol=1e-15, rtol=8.9e-16) / alpha
+    wp = find_working_point(GaussianState.vacuum(), eps, alpha=alpha)
+    assert wp.tstar == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("state", [GaussianState.vacuum(), CatState(2.0),
+                                   FockSuperposition.fock(2)],
+                         ids=["vacuum", "cat", "fock2"])
+def test_working_point_where_the_march_span_overflows(state):
+    # a tiny drift, as a tiny Lamb-Dicke factor or pulse gives: the march
+    # span 640 sqrt(2 ln 2) / alpha overflows to inf and t* ~ 1e306, so the
+    # nodes, the Newton steps and their squares must stay finite
+    alpha, eps = 1e-306, 0.1
+    tstar = find_working_point(state, eps, alpha=alpha).tstar
+    assert tstar * alpha == pytest.approx(
+        find_working_point(state, eps).tstar, rel=1e-14)
+
+
+def _first_crossing_oracle(state, eps, p0=0.5):
+    """First t with P(t) < p0 from a scalar march at a quarter of the
+    production step, then bisection down to neighbouring floats."""
+    step = 0.25 * metrology._march_step(state, 1.0)
+
+    def above(t):
+        return overlap_after(state, FPParams(alpha=1.0, d=eps, tbar=t)) >= p0
+
+    lo, hi = 0.0, step
+    while above(hi):
+        lo, hi = hi, hi + step
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
+
+
+def _two_level(levels, theta):
+    return FockSuperposition.from_dict(
+        {levels[0]: math.cos(theta), levels[1]: math.sin(theta)})
+
+
+PROBES = st.one_of(
+    st.floats(0.3, 3.0).map(CatState),
+    st.integers(0, 8).map(FockSuperposition.fock),
+    st.builds(_two_level,
+              st.lists(st.integers(0, 6), min_size=2, max_size=2,
+                       unique=True),
+              st.floats(0.0, 2.0 * math.pi)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=PROBES,
+       eps=st.floats(math.log(1e-3), math.log(0.3)).map(math.exp))
+def test_working_point_is_the_first_crossing(state, eps):
+    tstar = find_working_point(state, eps).tstar
+    assert tstar == pytest.approx(_first_crossing_oracle(state, eps),
+                                  rel=1e-13, abs=0.0)
+    ts = np.linspace(0.0, tstar, 202)[1:-1]
+    assert min(overlap_after(state, FPParams(alpha=1.0, d=eps, tbar=t))
+               for t in ts) > 0.5
+
+
+FAMILIES = {
+    "vacuum": GaussianState.vacuum(),
+    "squeezed": GaussianState.squeezed(1.44),
+    "cat": CatState(2.0),
+    "fock2": FockSuperposition.fock(2),
+    "fock4": FockSuperposition.fock(4),
+    "fock2+4": FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(0.75)}),
+}
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("vacuum", 250), ("squeezed", 200), ("cat", 200), ("fock2", 200),
+    ("fock4", 200), ("fock2+4", 200)])
+def test_slope_evaluations_per_sensitivity(name, calls, monkeypatch):
+    # 25 log points of eps in [1e-3, 0.3], both modes: one march block (two
+    # for the vacuum, whose t* lies beyond the 11th step), two evaluated
+    # Newton steps and the slopes at t*.  The scalar march with brentq took
+    # 14 to 29 overlap calls.
+    count = 0
+    family_slopes = metrology._family_slopes
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return family_slopes(*args)
+
+    monkeypatch.setattr(metrology, "_family_slopes", counted)
+    for eps in np.geomspace(1e-3, 0.3, 25):
+        for mode in ("drift-only", "extended"):
+            recoil_sensitivity(FAMILIES[name], float(eps), mode=mode)
+    assert count == calls
+
+
+def test_huge_epsilon_sensitivity_is_the_closed_form():
+    # |S| = |dP/du| = P u q with q = 1 / (1 + v) for the vacuum; t* is
+    # about 3e-300 here, and t* dP/du would underflow
+    eps = 1e300
+    res = recoil_sensitivity(GaussianState.vacuum(), eps,
+                             allow_large_epsilon=True)
+    u, v = res.tstar, eps * res.tstar
+    q = 1.0 / (1.0 + v)
+    want = (1.0 + v) ** -0.5 * math.exp(-0.5 * u * u * q) * u * q
+    assert want > 0.0
+    assert res.s_abs == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_working_point_probability_is_exact():
     state = GaussianState.squeezed(0.8)
     wp = find_working_point(state, 0.15)
@@ -64,7 +182,8 @@ def test_no_crossing_raises():
     from recoilspec.metrology import find_root_tbar
 
     with pytest.raises(NoCrossingError):
-        find_root_tbar(lambda t: 0.8, 0.5, 0.1, 5.0)
+        find_root_tbar(lambda t: (np.full_like(t, 0.8), np.zeros_like(t)),
+                       0.5, 0.1, 5.0)
 
 
 def test_sensitivity_matches_squeezed_closed_forms():

@@ -13,7 +13,7 @@ from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
                         evolve_gaussian, overlap_after, overlap_gaussian,
                         overlap_slopes, state_nbar, state_qfi)
 from recoilspec.phasespace import (_fock_slopes, _hermite_e_rule,
-                                   _kick_elements)
+                                   _kick_elements, _position_times)
 
 SQRT2 = math.sqrt(2.0)
 LN2 = math.log(2.0)
@@ -275,12 +275,18 @@ def test_slopes_read_zero_where_the_overlap_underflows(state, u):
     assert overlap_slopes(state, fp) == (0.0, 0.0, 0.0)
 
 
+def _dense_position_times(c: np.ndarray) -> np.ndarray:
+    """x c as a dense matrix product: the formulation the two slices of
+    `_position_times` replaced."""
+    off = np.sqrt(np.arange(1, len(c)) / 2.0)
+    return (np.diag(off, 1) + np.diag(off, -1)) @ c
+
+
 def _fock_slopes_loop(f: FockSuperposition, u: float, v: float):
     """`_fock_slopes` with one `_displacement_elements` call per level
     pair: the loop formulation the broadcast kernel replaced."""
     c = np.append(f.coeffs, 0.0)
-    off = np.sqrt(np.arange(1, len(c)) / 2.0)
-    vecs = np.array([c, (np.diag(off, 1) + np.diag(off, -1)) @ c])
+    vecs = np.array([c, _position_times(c)])
     idx = np.flatnonzero(np.any(vecs != 0.0, axis=0))
     vecs = vecs[:, idx]
     den = 1.0 + v
@@ -335,6 +341,19 @@ def test_fock_slopes_equal_the_loop_formulation(levels, u, v):
         {n: r / norm * complex(math.cos(phi), math.sin(phi))
          for n, (r, phi) in levels.items()})
     assert _fock_slopes(state, u, v) == _fock_slopes_loop(state, u, v)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["fock64", "dense65"])
+def test_position_slices_equal_the_dense_product(dense):
+    # a dense product may fuse a multiply-add, so the two can differ by
+    # rounding where both off-diagonals contribute
+    rng = np.random.default_rng(5)
+    coeffs = (rng.normal(size=65) + 1j * rng.normal(size=65) if dense
+              else FockSuperposition.fock(64).coeffs)
+    c = np.append(coeffs, 0.0)
+    want = _dense_position_times(c)
+    assert np.linalg.norm(_position_times(c) - want) <= \
+        1e-15 * np.linalg.norm(want)
 
 
 def test_squeezed_covariance_is_diagonal_at_the_default_phase():
