@@ -300,8 +300,8 @@ def _hermite_e_rule(n: int):
 
 def _position_times(c: np.ndarray) -> np.ndarray:
     """x c in the Fock basis, from the two off-diagonals of the
-    tridiagonal x = (a + a^dag) / sqrt2 (a dense product would go through
-    a multithreaded BLAS call)."""
+    tridiagonal x = (a + a^dag) / sqrt2; slices keep this small product out
+    of BLAS, whose threads cost more than it."""
     off = np.sqrt(np.arange(1, len(c)) / 2.0)
     xc = np.zeros_like(c)
     xc[:-1] = off * c[1:]
@@ -349,7 +349,7 @@ def _fock_slopes(f: FockSuperposition, u, v):
     f2 = 2.0 * np.real(np.abs(g1) ** 2 + np.conj(g0) * g2)
     # one exponent: F underflows gracefully where e^{z^2/2} alone overflows
     wz = w * np.exp(0.5 * (z * z - u * u / den)) / np.sqrt(den)
-    # one 1 x nodes @ nodes x 1 product per point: the order of a dot
+    # a (1 x nodes) @ (nodes x 1) product per point sums as a 1-D dot
     return tuple((wz[:, None] @ fk[..., None]).reshape(shape) * scale
                  for fk, scale in ((f0, 1.0), (f1, 1.0), (f2, 0.5)))
 
