@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, GridUnderflowError
 from .phasespace import (CatState, FockSuperposition, FPParams, GaussianState,
@@ -148,30 +146,17 @@ def _osc_wavenumber(state: MotionalState) -> float:
     return 0.0
 
 
-def propagate(w0: np.ndarray, p: np.ndarray, fp: FPParams,
-              n_steps: int | None = None, osc_k: float = 0.0) -> np.ndarray:
-    """Crank-Nicolson integration of the momentum drift/diffusion PDE.
+def _pde_operator(p: np.ndarray, fp: FPParams):
+    """Sparse (CSC) finite-difference form of the PDE's right-hand side.
 
-    Each row of `w0` is a function of p on the grid `p`; all rows are
-    propagated together and returned in the same layout.
+    Fourth-order central differences in the interior, second order on the
+    rows adjacent to the (deep-tail) Dirichlet boundary.
     """
-    hp = p[1] - p[0]
-    if n_steps is None:
-        # Crank-Nicolson is unconditionally stable, but its phase error grows
-        # as (k alpha dt)^3 per step on fringes of wavenumber k, so the
-        # accumulated overlap error scales as dt^2.
-        adv = abs(fp.alpha) + abs(fp.g) * float(np.max(np.abs(p)))
-        dt = 0.02
-        if adv > 0:
-            dt = min(dt, 12.0 * hp / adv)
-            if osc_k > 0.0:
-                dt = min(dt, 1.0 / (60.0 * osc_k * adv))
-        n_steps = max(100, int(math.ceil(fp.tbar / dt)))
-    dt = fp.tbar / n_steps
+    # imported here so that importing the package does not load scipy.sparse
+    from scipy.sparse import diags
 
+    hp = p[1] - p[0]
     m = len(p)
-    # fourth-order central differences in the interior, second order on the
-    # rows adjacent to the (deep-tail) Dirichlet boundary
     main = np.zeros(m)
     lo1 = np.zeros(m - 1)
     up1 = np.zeros(m - 1)
@@ -189,15 +174,40 @@ def propagate(w0: np.ndarray, p: np.ndarray, fp: FPParams,
         main[j] = -2.0 * cd + fp.g
         up1[j] = cd + 0.5 * adv[j]
         lo1[j - 1] = cd - 0.5 * adv[j]
-    op = diags([lo2, lo1, main, up1, up2],
-               offsets=[-2, -1, 0, 1, 2], format="csc")
-    ident = diags([np.ones(m)], offsets=[0], format="csc")
-    lhs = splu((ident - 0.5 * dt * op).tocsc())
-    rhs = (ident + 0.5 * dt * op).tocsr()
+    return diags([lo2, lo1, main, up1, up2],
+                 offsets=[-2, -1, 0, 1, 2], format="csc")
 
-    w = w0.T.copy()  # shape (np_, rows): solve all rows at once
+
+def propagate(w0: np.ndarray, p: np.ndarray, fp: FPParams,
+              n_steps: int | None = None, osc_k: float = 0.0) -> np.ndarray:
+    """Crank-Nicolson integration of the momentum drift/diffusion PDE.
+
+    Each row of `w0` is a function of p on the grid `p`; all rows are
+    propagated together and returned in the same layout.
+    """
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import splu
+
+    if n_steps is None:
+        # Crank-Nicolson is unconditionally stable, but its phase error grows
+        # as (k alpha dt)^3 per step on fringes of wavenumber k, so the
+        # accumulated overlap error scales as dt^2.
+        adv = abs(fp.alpha) + abs(fp.g) * float(np.max(np.abs(p)))
+        dt = 0.02
+        if adv > 0:
+            dt = min(dt, 12.0 * (p[1] - p[0]) / adv)
+            if osc_k > 0.0:
+                dt = min(dt, 1.0 / (60.0 * osc_k * adv))
+        n_steps = max(100, int(math.ceil(fp.tbar / dt)))
+    dt = fp.tbar / n_steps
+
+    # With L = I - dt/2 op the step L w' = (I + dt/2 op) w = (2I - L) w
+    # reads w' = 2 L^-1 w - w: one solve and no matrix product per step.
+    lhs = splu(identity(len(p), format="csc")
+               - 0.5 * dt * _pde_operator(p, fp))
+    w = np.asfortranarray(w0.T)  # shape (np_, rows): solve all rows at once
     for _ in range(n_steps):
-        w = lhs.solve(rhs @ w)
+        w = 2.0 * lhs.solve(w) - w
         w[0, :] = 0.0
         w[-1, :] = 0.0
     return w.T

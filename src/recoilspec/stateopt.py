@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bloch import PulseParams
 from .errors import (ConfigError, ConvergenceError, NoCrossingError,
@@ -22,9 +21,16 @@ from .phasespace import FockSuperposition, _gaussian_slopes
 from .recoil import DriftDiffusion, compute_coefficients
 
 
-# L-BFGS-B's gradient tolerance on -|S|.  Where |S| itself is smaller, every
-# start meets it at once, so the optimizer cannot locate an optimum.
+# Gradient tolerance of the optimizer on -|S|.  Where |S| itself is smaller,
+# every start meets it at once, so the optimizer cannot locate an optimum.
 _GTOL = 1e-9
+# Relative decrease of the objective over one step that ends a restart as
+# converged: (f_k - f_k+1) <= _FTOL max(|f_k|, |f_k+1|, 1).
+_FTOL = 1e-12
+_FD_STEP = 1e-6       # forward-difference step of the gradient, in radians
+_MAX_ITER = 200       # iterations before a restart ends as not converged
+_ARMIJO = 1e-4        # sufficient-decrease constant of the line search
+_MAX_HALVINGS = 30    # backtracking halvings before the line search fails
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,64 @@ def _state_from_coeffs(basis, c) -> FockSuperposition:
         {n: float(ci) for n, ci in zip(basis, c)})
 
 
+def _minimize(fun, x0):
+    """Dense BFGS on a smooth unconstrained objective: (x, f, converged).
+
+    The gradient is a forward difference and each step backtracks until the
+    Armijo condition holds.  It stays put if no such step is found, or once
+    a trial changes f by at most _FTOL relative, below what the stop rule
+    resolves.  A restart converges when max|grad| <= _GTOL or a step lowers
+    f by at most _FTOL relative; a quasi-Newton step that does so without
+    lowering f is first retried along -grad with the inverse Hessian
+    discarded.  It fails when _MAX_ITER iterations run out.
+    """
+    def grad(x, f):
+        g = np.empty_like(x)
+        for i in range(len(x)):
+            xi = x.copy()
+            xi[i] += _FD_STEP
+            g[i] = (fun(xi) - f) / _FD_STEP
+        return g
+
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    g = grad(x, f)
+    h = None                      # inverse Hessian; None steps along -grad
+    for _ in range(_MAX_ITER):
+        if np.max(np.abs(g)) <= _GTOL:
+            return x, f, True
+        step = -g if h is None else -(h @ g)
+        slope = float(g @ step)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            x_new = x + t * step
+            f_new = fun(x_new)
+            if f_new <= f + _ARMIJO * t * slope:
+                break
+            if abs(f_new - f) <= _FTOL * max(abs(f), abs(f_new), 1.0):
+                x_new, f_new = x, f
+                break
+            t *= 0.5
+        else:
+            x_new, f_new = x, f
+        if f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0):
+            if h is None or f_new < f:
+                return x_new, f_new, True
+            h = None
+            continue
+        g_new = grad(x_new, f_new)
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if h is None:
+                h = np.eye(len(x)) * (sy / float(y @ y))
+            hy = h @ y
+            h += ((sy + y @ hy) * np.outer(s, s) / sy
+                  - np.outer(hy, s) - np.outer(s, hy)) / sy
+        x, f, g = x_new, f_new, g_new
+    return x, f, False
+
+
 def fock_sensitivity(prob: OptimizationProblem, c) -> float:
     """|S| of the basis superposition with coefficients c (normalized)."""
     c = np.asarray(c, dtype=float)
@@ -128,15 +192,13 @@ def optimize_fock_superposition(prob: OptimizationProblem,
     dim = len(prob.basis) - 1
     starts = [rng.uniform(0.0, math.pi, size=dim) for _ in range(n_restarts)]
     for x0 in starts:
-        res = minimize(objective, x0, method="L-BFGS-B",
-                       options={"ftol": 1e-12, "gtol": _GTOL, "eps": 1e-6})
-        if res.success:
-            n_converged += 1
-        if best is None or res.fun < best.fun:
-            best = res
+        x, f, converged = _minimize(objective, x0)
+        n_converged += converged
+        if best is None or f < best[1]:
+            best = (x, f)
     if n_converged == 0:
         raise OptimizerError("no restart reached the gradient tolerance")
-    c = _angles_to_coeffs(best.x)
+    c = _angles_to_coeffs(best[0])
     # canonical sign: first nonzero coefficient positive
     nz = np.flatnonzero(np.abs(c) > 1e-12)
     if len(nz) and c[nz[0]] < 0:

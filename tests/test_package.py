@@ -1,6 +1,9 @@
 """Package surface: the exported names and the imports of its modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import recoilspec
@@ -16,8 +19,8 @@ def test_star_import_resolves_every_exported_name():
     assert len(set(recoilspec.__all__)) == len(recoilspec.__all__)
 
 
-def _imported_modules(tree):
-    for node in ast.walk(tree):
+def _imported_modules(nodes):
+    for node in nodes:
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
@@ -25,18 +28,42 @@ def _imported_modules(tree):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-def test_only_stateopt_imports_scipy_optimize():
-    # root finding is the package's own safeguarded Newton; scipy.optimize
-    # serves the probe-state optimizer alone, so deferring its import
-    # touches one module
+def _import_time_nodes(node):
+    """The nodes run when the module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def _within(name, package):
+    return name == package or name.startswith(package + ".")
+
+
+def test_no_module_imports_scipy_optimize_or_scipy_sparse_at_import():
+    # root finding and the probe-state optimizer are the package's own;
+    # scipy.sparse serves the PDE oracle alone and is imported inside it
     modules = sorted(PACKAGE.glob("*.py"))
-    assert PACKAGE / "stateopt.py" in modules
+    assert PACKAGE / "pdeoracle.py" in modules
     for path in modules:
         text = path.read_text()
         assert "brentq" not in text, path.name
-        if path.name == "stateopt.py":
-            continue
-        for name in _imported_modules(ast.parse(text)):
-            assert not (name == "scipy.optimize"
-                        or name.startswith("scipy.optimize.")), \
-                (path.name, name)
+        tree = ast.parse(text)
+        for name in _imported_modules(ast.walk(tree)):
+            assert not _within(name, "scipy.optimize"), (path.name, name)
+        for name in _imported_modules(_import_time_nodes(tree)):
+            assert not _within(name, "scipy.sparse"), (path.name, name)
+
+
+def test_importing_the_package_loads_neither_scipy_optimize_nor_sparse():
+    code = ("import sys, recoilspec, recoilspec.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'optimize'], "
+            "['scipy', 'sparse'])))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

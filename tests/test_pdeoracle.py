@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import identity
+from scipy.sparse.linalg import splu
 
 from recoilspec import (CatState, FPParams, FockSuperposition, GaussianState,
                         GridUnderflowError, overlap_after, overlap_pde,
                         overlap_pde_batch)
-from recoilspec.pdeoracle import (GridSpec, _osc_wavenumber, default_grid,
-                                  initial_wigner, propagate)
+from recoilspec.pdeoracle import (GridSpec, _osc_wavenumber, _pde_operator,
+                                  default_grid, initial_wigner, propagate)
 
 
 def test_vacuum_point():
@@ -111,3 +113,34 @@ def test_low_rank_batch_matches_full_column_propagation(state, min_rank):
             np.trapezoid(w0 * wt, dx=p[1] - p[0], axis=1), dx=x[1] - x[0]))
     assert overlap_pde_batch(state, fps) == pytest.approx(full, rel=0,
                                                           abs=1e-12)
+
+
+def _propagate_with_explicit_rhs(w0, p, fp, n_steps):
+    """The Crank-Nicolson loop with (I + dt/2 op) built and applied."""
+    dt = fp.tbar / n_steps
+    op = _pde_operator(p, fp)
+    ident = identity(len(p), format="csc")
+    lhs = splu(ident - 0.5 * dt * op)
+    rhs = (ident + 0.5 * dt * op).tocsr()
+    w = w0.T.copy()
+    for _ in range(n_steps):
+        w = lhs.solve(rhs @ w)
+        w[0, :] = 0.0
+        w[-1, :] = 0.0
+    return w.T
+
+
+@pytest.mark.parametrize("state", [CatState(2.0), FockSuperposition.fock(2)],
+                         ids=["cat", "fock2"])
+@pytest.mark.parametrize("alpha, d", [(0.5, 0.05), (1.5, 0.0)])
+def test_step_equals_the_explicit_right_hand_side(state, alpha, d):
+    """w' = 2 L^-1 w - w is the step L w' = (I + dt/2 op) w, L = I - dt/2 op,
+    on the SVD momentum factors that overlap_pde_batch propagates."""
+    fp = FPParams(alpha=alpha, d=d, tbar=1.0)
+    x, p = default_grid(state, fp).axes()
+    u, s, v = np.linalg.svd(initial_wigner(state, x, p), full_matrices=False)
+    v = v[s > 1e-13 * s[0]]
+    got = propagate(v, p, fp, n_steps=200)
+    want = _propagate_with_explicit_rhs(v, p, fp, n_steps=200)
+    assert np.max(np.abs(got)) > 1e-2
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

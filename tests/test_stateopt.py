@@ -9,7 +9,11 @@ from recoilspec import (CatState, FockSuperposition, NoCrossingError,
                         OptimizationProblem, OptimizerError, PulseParams,
                         fock_sensitivity, optimize_fock_superposition,
                         recoil_sensitivity, single_photon_budget,
-                        squeezing_db, state_nbar)
+                        squeezing_db, state_nbar, stateopt)
+from recoilspec.stateopt import _minimize
+
+# |S| of the best (2, 4) superposition at epsilon = 0.1 and nbar <= 4
+S_24 = 1.6147542274987
 
 
 def test_squeezing_db_pairs():
@@ -58,7 +62,7 @@ def test_optimizer_against_grid_oracle():
 
 def test_flat_objective_is_refused():
     # at eps = 1e300 the working point is t* ~ 1e-300, and |S| ~ u* there
-    # is far below what the Fock quadrature resolves or L-BFGS-B's
+    # is far below what the Fock quadrature resolves or the optimizer's
     # gradient tolerance could locate
     prob = OptimizationProblem(basis=(2, 4), epsilon=1e300)
     with pytest.raises(OptimizerError, match="flat"):
@@ -71,6 +75,87 @@ def test_optimizer_deterministic():
     b = optimize_fock_superposition(prob, seed=7)
     assert a.coeffs == pytest.approx(b.coeffs, abs=0.0)
     assert a.s_abs == b.s_abs
+
+
+def _golden_section_max(f, a, b, tol=1e-10):
+    """Maximizer of a unimodal f on [a, b], by golden-section search."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def test_pinned_two_level_optimum_matches_a_golden_section_search():
+    prob = OptimizationProblem(basis=(2, 4), nbar_max=4.0, epsilon=0.1)
+    res = optimize_fock_superposition(prob, n_restarts=2, seed=0)
+
+    def s_of(theta):
+        return fock_sensitivity(prob, [math.cos(theta), math.sin(theta)])
+
+    theta = _golden_section_max(s_of, 0.9, 1.2)
+    # the energy bound is slack there, so the penalty plays no part
+    assert 2.0 * math.cos(theta)**2 + 4.0 * math.sin(theta)**2 < 4.0
+    assert s_of(theta) == pytest.approx(S_24, rel=1e-11)
+    assert res.s_abs == pytest.approx(S_24, rel=1e-11)
+    assert res.coeffs == pytest.approx(
+        [math.cos(theta), math.sin(theta)], abs=1e-6)
+
+
+def test_minimize_reaches_an_ill_scaled_quadratic_minimum():
+    # curvatures 100 and 1e5 along the axes; where the Hessian H is
+    # diagonal the forward-difference bias (h/2) H^-1 diag(H) of the
+    # minimizer is half a step, 5e-7, along each axis
+    x, _, converged = _minimize(
+        lambda x: 50.0 * (x[0] - 0.3)**2 + 5e4 * (x[1] + 0.7)**2,
+        np.array([2.0, 1.0]))
+    assert converged
+    assert x == pytest.approx([0.3, -0.7], rel=0, abs=1e-6)
+
+
+def _smooth_3d(x):
+    """Minimum 0 at (0.5, -1.2, 2), with a diagonal Hessian there."""
+    d = x - np.array([0.5, -1.2, 2.0])
+    return (float(np.array([10.0, 30.0, 100.0]) @ (np.cosh(d) - 1.0))
+            + d[0]**2 * d[1]**2 * (1.0 + d[2]**2))
+
+
+def test_minimize_reaches_a_smooth_3d_minimum():
+    x, _, converged = _minimize(_smooth_3d, np.zeros(3))
+    assert converged
+    assert x == pytest.approx([0.5, -1.2, 2.0], rel=0, abs=1e-6)
+
+
+def test_minimize_reports_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(stateopt, "_MAX_ITER", 3)
+    x, f, converged = _minimize(_smooth_3d, np.zeros(3))
+    assert not converged
+    assert f == _smooth_3d(x)
+    assert f > 1e-3
+
+
+def test_minimize_repeats_its_calls():
+    def recorded():
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return _smooth_3d(x)
+        return fun, calls
+
+    (fa, ca), (fb, cb) = recorded(), recorded()
+    ra, rb = _minimize(fa, np.zeros(3)), _minimize(fb, np.zeros(3))
+    assert len(ca) == len(cb) > 3
+    assert all(np.array_equal(a, b) for a, b in zip(ca, cb))
+    assert np.array_equal(ra[0], rb[0]) and ra[1:] == rb[1:]
 
 
 def test_budget_invariants(dipole_pulse):
