@@ -6,8 +6,7 @@ the motional probe state -> overlap signals, recoil sensitivity, Fisher
 information bounds, Doppler systematics and probe-state optimization.
 """
 
-from .bloch import (BlochVector, PulseParams, correlation_yy, solve_bloch,
-                    steady_state)
+from .bloch import PulseParams, correlation_yy, solve_bloch, steady_state
 from .doppler import ShiftResult, asymmetric_overlap, two_point_shift
 from .errors import (ConfigError, ConvergenceError, FlatFlankError,
                      GridUnderflowError, NoCrossingError, OptimizerError,
@@ -31,8 +30,7 @@ from .stateopt import (OptimizationProblem, OptimizationResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochVector", "PulseParams", "correlation_yy", "solve_bloch",
-    "steady_state",
+    "PulseParams", "correlation_yy", "solve_bloch", "steady_state",
     "ShiftResult", "asymmetric_overlap", "two_point_shift",
     "ConfigError", "ConvergenceError", "FlatFlankError", "GridUnderflowError",
     "NoCrossingError", "OptimizerError", "PerturbativeRegimeError",

@@ -1,13 +1,13 @@
 """Driven-damped two-level dynamics during one rectangular laser pulse.
 
 The internal state of the probed ion follows d<s>/dt = M <s> + Gamma*m with a
-3x3 real matrix M that depends on the Doppler-shifted detuning.  Everything
-downstream (drift/diffusion coefficients, photon numbers) is built from the
-closed-form solution of this linear system and from two-time correlators of
-sigma_y obtained through the quantum regression theorem, so no time-stepping
-error enters the pipeline.  `recoil` integrates the same system over a pulse
-with block matrix exponentials; the propagator here serves pointwise
-evaluations.
+3x3 real matrix M that depends on the Doppler-shifted detuning, that is
+d/dt (s, 1) = A (s, 1) with the affine generator A = [[M, Gamma m], [0, 0]].
+Everything downstream (drift/diffusion coefficients, photon numbers) is built
+from e^{tA} and from two-time correlators of sigma_y obtained through the
+quantum regression theorem, so no time-stepping error enters the pipeline:
+`recoil` integrates e^{tA} over a pulse, the functions here evaluate it
+pointwise.
 """
 
 from __future__ import annotations
@@ -64,20 +64,6 @@ class PulseParams:
         return replace(self, detuning=detuning)
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    sx: float
-    sy: float
-    sz: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.sx, self.sy, self.sz])
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.sx**2 + self.sy**2 + self.sz**2)
-
-
 def bloch_matrix(p: PulseParams, doppler_momentum: float = 0.0):
     """Coefficient matrix M and drive vector m of the Bloch equations.
 
@@ -94,95 +80,72 @@ def bloch_matrix(p: PulseParams, doppler_momentum: float = 0.0):
     return m, _M_VEC.copy()
 
 
-class _Propagator:
-    """Closed-form e^{Mt} evaluator for a fixed pulse configuration.
+# Ground state in (s, 1) form, and the regression map (s, 1) -> (e_y, s_y)
+# that starts Re<sy(t) sy(t')> from the state at t': the regression start
+# (i<sz>, 1, -i<sx>) has real part (0, 1, 0), and M is real.
+_Z0 = np.array([0.0, 0.0, -1.0, 1.0])
+_REGRESS = np.zeros((4, 4))
+_REGRESS[1, 3] = _REGRESS[3, 1] = 1.0
+# An eigenbasis of condition c loses about c ulps; past this bound (near the
+# exceptional point Omega = Gamma/4, Delta = 0) e^{tA} comes from expm.
+_COND_MAX = 1e4
 
-    Uses the eigendecomposition of the 3x3 matrix; falls back to
-    scaling-and-squaring when the eigenvalues are nearly degenerate.
-    """
 
-    def __init__(self, p: PulseParams, doppler_momentum: float = 0.0):
-        self.params = p
-        self.matrix, self.drive = bloch_matrix(p, doppler_momentum)
-        # Gamma * M^{-1} m appears in both the one-time and two-time solutions.
-        self.q = p.linewidth * np.linalg.solve(self.matrix, self.drive)
-        eigvals, eigvecs = np.linalg.eig(self.matrix)
-        gaps = np.abs(eigvals[:, None] - eigvals[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        scale = np.max(np.abs(eigvals))
-        self._use_eig = scale == 0.0 or gaps.min() / scale > 1e-8
-        if self._use_eig:
-            self._lam = eigvals
-            self._v = eigvecs
-            self._vinv = np.linalg.inv(eigvecs)
+def affine_generator(p: PulseParams, doppler_momentum: float = 0.0):
+    """A = [[M, Gamma m], [0, 0]], so that d/dt (s, 1) = A (s, 1)."""
+    m, drive = bloch_matrix(p, doppler_momentum)
+    a = np.zeros((4, 4))
+    a[:3, :3], a[:3, 3] = m, p.linewidth * drive
+    return a
 
-    def expm_apply(self, taus: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        """Real part of e^{M tau_k} v_k for matching arrays of lags/vectors.
 
-        `taus` has shape (k,), `vecs` shape (k, 3); returns shape (k, 3).
-        """
-        taus = np.asarray(taus, dtype=float)
-        vecs = np.asarray(vecs)
-        if self._use_eig:
-            w = vecs @ self._vinv.T
-            w = w * np.exp(np.outer(taus, self._lam))
-            return (w @ self._v.T).real
-        out = np.empty((len(taus), 3))
-        for k, tau in enumerate(taus):
-            out[k] = expm(self.matrix * tau) @ vecs[k]
-        return out
-
-    def sigma(self, times: np.ndarray) -> np.ndarray:
-        """<s(t)> for ground-state start, shape (n, 3)."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        v0 = np.broadcast_to(self.drive + self.q, (len(times), 3))
-        return self.expm_apply(times, v0) - self.q
-
-    def steady_state(self) -> np.ndarray:
-        return -self.q
-
-    def corr_yy(self, t: np.ndarray, t_prime: np.ndarray) -> np.ndarray:
-        """Re<sy(t) sy(t')> for arrays of times with t >= t' elementwise.
-
-        The regression initial condition (i<sz>, 1, -i<sx>) has a real part
-        (0, 1, 0); M is real, so the real part of the correlator closes on
-        real vectors only.
-        """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        t_prime = np.atleast_1d(np.asarray(t_prime, dtype=float))
-        sy = self.sigma(t_prime)[:, 1]
-        v0 = np.zeros((len(t_prime), 3))
-        v0[:, 1] = 1.0
-        v0 += sy[:, None] * self.q[None, :]
-        out = self.expm_apply(t - t_prime, v0) - sy[:, None] * self.q[None, :]
-        return out[:, 1]
+def _matvec(mat, vecs):
+    """mat @ v for each row v of vecs, as a stack of 4x4 products: one
+    (k, 4) @ (4, 4) product may sum a row in another order for another k,
+    and a batch would then differ from single calls in the last bits."""
+    return (mat @ vecs[..., None])[..., 0]
 
 
 @lru_cache(maxsize=256)
-def _cached_propagator(p: PulseParams, doppler_momentum: float) -> _Propagator:
-    return _Propagator(p, doppler_momentum)
+def _cached_propagator(p: PulseParams, doppler_momentum: float):
+    """(taus, vecs) -> e^{tau A} v row by row, vecs shaped taus + (4,)."""
+    a = affine_generator(p, doppler_momentum)
+    lam, basis = np.linalg.eig(a)
+    if np.linalg.cond(basis) > _COND_MAX:
+        return lambda taus, v: _matvec(expm(taus[..., None, None] * a), v)
+    inv = np.linalg.inv(basis)
+    return lambda taus, v: _matvec(
+        basis, np.exp(taus[..., None] * lam) * _matvec(inv, v)).real
+
+
+def _checked_inputs(p: PulseParams, doppler_momentum: float, *times):
+    """The times, broadcast, once they and the momentum are in range."""
+    if not np.isfinite(bloch_matrix(p, doppler_momentum)[0]).all():
+        raise ConfigError(f"doppler_momentum={doppler_momentum!r} is invalid")
+    times = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in times))
+    t_max = p.pulse_duration * (1.0 + 1e-12)       # NaN fails both tests
+    if not all(np.all((t >= 0.0) & (t <= t_max)) for t in times):
+        raise ConfigError("times must lie in [0, pulse_duration]")
+    return times
 
 
 def solve_bloch(p: PulseParams, t, doppler_momentum: float = 0.0):
-    """Bloch vector at time t (scalar -> BlochVector, array -> (n, 3))."""
-    prop = _cached_propagator(p, doppler_momentum)
-    if np.ndim(t) == 0:
-        if t < 0.0 or t > p.pulse_duration * (1.0 + 1e-12):
-            raise ConfigError("time outside [0, pulse_duration]")
-        return BlochVector(*prop.sigma(np.array([float(t)]))[0])
-    return prop.sigma(np.asarray(t, dtype=float))
+    """Bloch vector after a ground-state start, shape np.shape(t) + (3,)."""
+    (t,) = _checked_inputs(p, doppler_momentum, t)
+    return _cached_propagator(p, doppler_momentum)(t, _Z0)[..., :3]
 
 
 def steady_state(p: PulseParams, doppler_momentum: float = 0.0) -> np.ndarray:
-    return _cached_propagator(p, doppler_momentum).steady_state()
+    """Fixed point -Gamma M^{-1} m of the Bloch equations."""
+    _checked_inputs(p, doppler_momentum)
+    return -p.linewidth * np.linalg.solve(*bloch_matrix(p, doppler_momentum))
 
 
-def correlation_yy(p: PulseParams, t: float, t_prime: float,
-                   doppler_momentum: float = 0.0) -> float:
-    """Re<sigma_y(t) sigma_y(t')> for 0 <= t' <= t <= tau_p."""
-    if t_prime > t:
+def correlation_yy(p: PulseParams, t, t_prime, doppler_momentum: float = 0.0):
+    """Re<sigma_y(t) sigma_y(t')> for 0 <= t' <= t <= tau_p, broadcast."""
+    t, t_prime = _checked_inputs(p, doppler_momentum, t, t_prime)
+    if np.any(t_prime > t):
         raise ConfigError("correlation_yy requires t_prime <= t")
-    if t_prime < 0.0 or t > p.pulse_duration * (1.0 + 1e-12):
-        raise ConfigError("times outside [0, pulse_duration]")
     prop = _cached_propagator(p, doppler_momentum)
-    return float(prop.corr_yy(np.array([t]), np.array([t_prime]))[0])
+    start = prop(t_prime, _Z0) @ _REGRESS.T   # exact in any order: 0s and 1s
+    return prop(t - t_prime, start)[..., 1][()]

@@ -21,19 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 
-from .bloch import PulseParams, bloch_matrix
+from .bloch import _REGRESS, _Z0, PulseParams, affine_generator
 from .errors import ConvergenceError
 
 _SQRT2 = math.sqrt(2.0)
 _I2, _I4 = np.eye(2), np.eye(4)
 _Y = 1                                   # index of s_y in (s, 1)
-_Z0 = np.array([0.0, 0.0, -1.0, 1.0])    # ground state, (s, 1) form
-# d A / d Delta, and the regression map (s, 1) -> (e_y, s_y) that starts
-# the two-time correlator Re<sy(t) sy(t')> from the state at t'.
-_DA = np.zeros((4, 4))
+_DA = np.zeros((4, 4))                   # d A / d Delta
 _DA[0, 1], _DA[1, 0] = -1.0, 1.0
-_REGRESS = np.zeros((4, 4))
-_REGRESS[1, 3] = _REGRESS[3, 1] = 1.0
 
 
 @dataclass(frozen=True)
@@ -78,10 +73,8 @@ class DriftDiffusion:
 
 
 def _scaled_generators(p: PulseParams):
-    """tau A with A = [[M, Gamma m], [0, 0]], and tau times phi's generator."""
-    m, drive = bloch_matrix(p)
-    a = np.zeros((4, 4))
-    a[:3, :3], a[:3, 3] = m, p.linewidth * drive
+    """tau A for the affine Bloch generator A, and tau times phi's generator."""
+    a = affine_generator(p)
     phi = np.array([[0.0, p.mode_freq], [-p.mode_freq, 0.0]])
     with np.errstate(over="ignore"):
         a, phi = a * p.pulse_duration, phi * p.pulse_duration

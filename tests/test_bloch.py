@@ -4,6 +4,7 @@ brute-force density-matrix computation in the 4-dimensional Liouville space.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from recoilspec import ConfigError, PulseParams, correlation_yy, solve_bloch, steady_state
-from recoilspec.bloch import bloch_matrix
+from recoilspec.bloch import affine_generator, bloch_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,6 +43,18 @@ def _expect(rho, op):
     return np.trace(rho @ op)
 
 
+def _oracle_sigma(p: PulseParams, t: float) -> np.ndarray:
+    rho = (expm(_liouvillian(p) * t) @ _rho_ground().reshape(-1)).reshape(2, 2)
+    return np.array([_expect(rho, op).real for op in (SX, SY, SZ)])
+
+
+def _oracle_corr(p: PulseParams, t: float, tp: float) -> float:
+    lv = _liouvillian(p)
+    rho_tp = (expm(lv * tp) @ _rho_ground().reshape(-1)).reshape(2, 2)
+    evolved = (expm(lv * (t - tp)) @ (SY @ rho_tp).reshape(-1)).reshape(2, 2)
+    return np.trace(SY @ evolved).real
+
+
 def test_rk_oracle_full_pulse(dipole_pulse):
     m, mv = bloch_matrix(dipole_pulse)
 
@@ -52,29 +65,32 @@ def test_rk_oracle_full_pulse(dipole_pulse):
                     [0.0, 0.0, -1.0], rtol=1e-11, atol=1e-13,
                     dense_output=True)
     ref = sol.y[:, -1]
-    got = solve_bloch(dipole_pulse, dipole_pulse.pulse_duration).as_array()
+    got = solve_bloch(dipole_pulse, dipole_pulse.pulse_duration)
     assert np.max(np.abs(got - ref)) < 1e-9
 
 
 def test_liouvillian_oracle_sigma(dipole_pulse):
-    lv = _liouvillian(dipole_pulse)
     for t in [5e-9, 20e-9, 50e-9]:
-        rho = expm(lv * t) @ _rho_ground().reshape(-1)
-        rho = rho.reshape(2, 2)
         s = solve_bloch(dipole_pulse, t)
-        assert abs(s.sx - _expect(rho, SX).real) < 1e-9
-        assert abs(s.sy - _expect(rho, SY).real) < 1e-9
-        assert abs(s.sz - _expect(rho, SZ).real) < 1e-9
+        assert np.max(np.abs(s - _oracle_sigma(dipole_pulse, t))) < 1e-9
 
 
 def test_liouvillian_oracle_correlation(dipole_pulse):
-    lv = _liouvillian(dipole_pulse)
     t, tp = 40e-9, 10e-9
-    rho_tp = (expm(lv * tp) @ _rho_ground().reshape(-1)).reshape(2, 2)
-    evolved = (expm(lv * (t - tp)) @ (SY @ rho_tp).reshape(-1)).reshape(2, 2)
-    ref = np.trace(SY @ evolved)
     got = correlation_yy(dipole_pulse, t, tp)
-    assert abs(got - ref.real) < 1e-9
+    assert abs(got - _oracle_corr(dipole_pulse, t, tp)) < 1e-9
+
+
+@pytest.mark.parametrize("offset", [-1e-9, 0.0, 1e-9])
+def test_liouvillian_oracle_at_the_exceptional_point(dipole_pulse, offset):
+    # at Omega = Gamma/4, Delta = 0 two eigenvalues of M meet and the
+    # eigenvectors go parallel; the propagator must switch to expm there
+    p = replace(dipole_pulse, detuning=0.0,
+                rabi=0.25 * (1.0 + offset) * dipole_pulse.linewidth)
+    for t in [5e-9, 20e-9, 50e-9]:
+        assert np.max(np.abs(solve_bloch(p, t) - _oracle_sigma(p, t))) <= 1e-12
+    for t, tp in [(40e-9, 10e-9), (50e-9, 0.0), (30e-9, 29e-9)]:
+        assert abs(correlation_yy(p, t, tp) - _oracle_corr(p, t, tp)) <= 1e-12
 
 
 def test_equal_time_correlation_is_unity(dipole_pulse):
@@ -94,19 +110,24 @@ def test_steady_state_is_fixed_point(dipole_pulse):
     s = steady_state(dipole_pulse)
     residual = m @ s + dipole_pulse.linewidth * mv
     assert np.max(np.abs(residual)) < 1e-12 * dipole_pulse.linewidth
+    # (s, 1) is a fixed point of the affine generator, Doppler-shifted too
+    for momentum in (0.0, 0.7, -2.5):
+        s = steady_state(dipole_pulse, momentum)
+        residual = affine_generator(dipole_pulse, momentum) @ np.append(s, 1.0)
+        assert np.max(np.abs(residual)) < 1e-12 * dipole_pulse.linewidth
 
 
 def test_detuning_parity(dipole_pulse):
     plus = solve_bloch(dipole_pulse, 30e-9)
     minus = solve_bloch(dipole_pulse.with_detuning(-dipole_pulse.detuning), 30e-9)
-    assert plus.sy == pytest.approx(minus.sy, rel=1e-12)
-    assert plus.sz == pytest.approx(minus.sz, rel=1e-12)
-    assert plus.sx == pytest.approx(-minus.sx, rel=1e-12)
+    assert plus[1] == pytest.approx(minus[1], rel=1e-12)
+    assert plus[2] == pytest.approx(minus[2], rel=1e-12)
+    assert plus[0] == pytest.approx(-minus[0], rel=1e-12)
 
 
 def test_starts_in_ground_state(dipole_pulse):
     s = solve_bloch(dipole_pulse, 0.0)
-    assert np.allclose(s.as_array(), [0.0, 0.0, -1.0], atol=1e-14)
+    assert np.allclose(s, [0.0, 0.0, -1.0], atol=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
@@ -117,7 +138,62 @@ def test_bloch_vector_stays_in_ball(rabi, detuning, frac):
                     detuning=TWO_PI * detuning, lamb_dicke=0.108,
                     mode_freq=TWO_PI * 1.92e6, pulse_duration=50e-9)
     s = solve_bloch(p, frac * p.pulse_duration)
-    assert s.norm <= 1.0 + 1e-9
+    assert np.linalg.norm(s) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("rabi_over_gamma, detuning, momentum", [
+    (5.6 / 34.0, TWO_PI * 17e6, 0.0),      # eigenbasis route
+    (5.6 / 34.0, TWO_PI * 17e6, 0.8),      # Doppler-shifted
+    (0.25, 0.0, 0.0),                      # expm route
+])
+def test_arrays_equal_scalar_calls_bit_for_bit(dipole_pulse, rabi_over_gamma,
+                                               detuning, momentum):
+    p = replace(dipole_pulse, detuning=detuning,
+                rabi=rabi_over_gamma * dipole_pulse.linewidth)
+    t = np.linspace(0.0, p.pulse_duration, 9)
+    t_in = t[:, None] * np.linspace(0.0, 1.0, 6)
+    want = [solve_bloch(p, x, momentum) for x in t]
+    assert np.array_equal(solve_bloch(p, t, momentum), want)
+    want = [[correlation_yy(p, a, b, momentum) for b in row]
+            for a, row in zip(t, t_in)]
+    assert np.array_equal(correlation_yy(p, t[:, None], t_in, momentum), want)
+    row = [correlation_yy(p, t[-1], b, momentum) for b in t]
+    assert np.array_equal(correlation_yy(p, t[-1], t, momentum), row)
+
+
+_TAU = 50e-9                                   # the dipole pulse's length
+_BAD_TIMES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.5 * _TAU]),
+    st.floats(max_value=-5e-324),              # negative, down to -inf
+    st.floats(min_value=-2.2250738585072014e-308,
+              max_value=-5e-324),              # negative subnormals
+    st.floats(min_value=_TAU * (1.0 + 2e-12)),  # after the pulse, up to inf
+)
+# Not finite, or a Doppler shift eta_bar nu p beyond the largest float.
+_BAD_MOMENTA = (st.sampled_from([math.nan, math.inf, -math.inf])
+                | st.floats(min_value=1e303) | st.floats(max_value=-1e303))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad_time=_BAD_TIMES, bad_momentum=_BAD_MOMENTA,
+       frac=st.floats(0.0, 1.0))
+def test_bad_times_and_momenta_raise_config_error(dipole_pulse, bad_time,
+                                                  bad_momentum, frac):
+    p, good = dipole_pulse, frac * dipole_pulse.pulse_duration
+    assert p.pulse_duration == _TAU
+    calls = [lambda: solve_bloch(p, bad_time),
+             lambda: solve_bloch(p, [good, bad_time]),
+             lambda: correlation_yy(p, bad_time, good),
+             lambda: correlation_yy(p, good, bad_time),
+             lambda: correlation_yy(p, [good, bad_time], [0.0, 0.0]),
+             lambda: correlation_yy(p, good, [0.0, bad_time]),
+             lambda: solve_bloch(p, good, bad_momentum),
+             lambda: solve_bloch(p, [good], bad_momentum),
+             lambda: steady_state(p, bad_momentum),
+             lambda: correlation_yy(p, good, good, bad_momentum)]
+    for call in calls:
+        with pytest.raises(ConfigError):
+            call()
 
 
 def test_parameter_validation():

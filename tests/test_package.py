@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import recoilspec
+import recoilspec.bloch
 
 PACKAGE = Path(recoilspec.__file__).parent
 
@@ -17,6 +18,13 @@ def test_star_import_resolves_every_exported_name():
     assert sorted(n for n in namespace if n != "__builtins__") == \
         sorted(recoilspec.__all__)
     assert len(set(recoilspec.__all__)) == len(recoilspec.__all__)
+
+
+def test_the_propagator_cache_reports_its_statistics():
+    # recoilbench/worker.py reads this in traced rounds; the test goes when
+    # the benchmark makes that lookup optional (ROADMAP Direction 5)
+    info = recoilspec.bloch._cached_propagator.cache_info()
+    assert info.maxsize > 0 and info.currsize <= info.maxsize
 
 
 def _imported_modules(nodes):

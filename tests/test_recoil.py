@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from recoilspec import PulseParams, compute_coefficients, detuning_slopes
-from recoilspec.bloch import _cached_propagator
+from recoilspec import (PulseParams, compute_coefficients, correlation_yy,
+                        detuning_slopes, solve_bloch)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -18,17 +18,15 @@ KEYS = ("alpha_x", "alpha_p", "d_xx", "d_pp", "d_xp", "n1")
 def _gauss_legendre_coefficients(p: PulseParams, n: int) -> dict:
     """Tensor Gauss-Legendre oracle: n outer nodes on [0, tau], n inner
     nodes mapped onto [0, t] for each outer node t; sigma_y and its
-    regression correlator from the pointwise propagator."""
-    prop = _cached_propagator(p, 0.0)
+    regression correlator from the pointwise Bloch functions."""
     nu = p.mode_freq
     x, w = np.polynomial.legendre.leggauss(n)
     t = 0.5 * p.pulse_duration * (x + 1.0)
     wt = 0.5 * p.pulse_duration * w
-    sy = prop.sigma(t)[:, 1]
+    sy = solve_bloch(p, t)[:, 1]
     t_in = 0.5 * t[:, None] * (x[None, :] + 1.0)
     w_in = 0.5 * t[:, None] * w[None, :]
-    corr = prop.corr_yy(np.broadcast_to(t[:, None], t_in.shape).ravel(),
-                        t_in.ravel()).reshape(t_in.shape)
+    corr = correlation_yy(p, t[:, None], t_in)
     wgt = wt[:, None] * w_in * corr
     so, co = np.sin(nu * t)[:, None], np.cos(nu * t)[:, None]
     si, ci = np.sin(nu * t_in), np.cos(nu * t_in)
@@ -65,7 +63,7 @@ def test_drift_against_trapezoid_oracle(dipole_pulse):
     # dense uniform-grid trapezoid is a different integration scheme entirely
     n = 4001
     t = np.linspace(0.0, dipole_pulse.pulse_duration, n)
-    sy = _cached_propagator(dipole_pulse, 0.0).sigma(t)[:, 1]
+    sy = solve_bloch(dipole_pulse, t)[:, 1]
     pref = dipole_pulse.lamb_dicke * dipole_pulse.rabi / SQRT2
     ref = abs(-pref * np.trapezoid(np.cos(dipole_pulse.mode_freq * t) * sy, t))
     got = compute_coefficients(dipole_pulse).alpha_p
@@ -75,11 +73,10 @@ def test_drift_against_trapezoid_oracle(dipole_pulse):
 def test_diffusion_against_trapezoid_oracle(dipole_pulse):
     n = 801
     t = np.linspace(0.0, dipole_pulse.pulse_duration, n)
-    prop = _cached_propagator(dipole_pulse, 0.0)
     cos_t = np.cos(dipole_pulse.mode_freq * t)
     inner = np.zeros(n)
     for i in range(1, n):
-        corr = prop.corr_yy(np.full(i + 1, t[i]), t[: i + 1])
+        corr = correlation_yy(dipole_pulse, t[i], t[: i + 1])
         inner[i] = cos_t[i] * np.trapezoid(cos_t[: i + 1] * corr, t[: i + 1])
     double = np.trapezoid(inner, t)
     eta2o2 = (dipole_pulse.lamb_dicke * dipole_pulse.rabi) ** 2
@@ -137,7 +134,7 @@ def test_momentum_diffusion_positive(dipole_pulse):
 
 def test_photon_number_positive_on_resonance(dipole_pulse):
     t = np.linspace(0.0, dipole_pulse.pulse_duration, 4001)
-    sy = _cached_propagator(dipole_pulse, 0.0).sigma(t)[:, 1]
+    sy = solve_bloch(dipole_pulse, t)[:, 1]
     ref = 0.5 * dipole_pulse.rabi * np.trapezoid(sy, t)
     c = compute_coefficients(dipole_pulse)
     assert c.n1 > 0.0
