@@ -71,7 +71,7 @@ def _check_epsilon(epsilon: float, allow_large: bool):
 def _march_step(state: MotionalState, alpha: float) -> float:
     """March step small enough to resolve the fastest overlap oscillation."""
     step = 0.05 * math.sqrt(2.0 * _LN2) / alpha
-    if isinstance(state, CatState) and state.beta > 0.0:
+    if isinstance(state, CatState) and state.beta * alpha > 0.0:
         step = min(step, 0.25 / (math.sqrt(2.0) * state.beta * alpha))
     elif isinstance(state, FockSuperposition):
         n_top = len(state.coeffs) - 1

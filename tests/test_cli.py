@@ -8,7 +8,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recoilspec import cli
 
@@ -364,5 +364,6 @@ _COEFFS = (st.sampled_from([
                 | st.integers())
     | st.tuples(st.just("coeffs"), _COEFFS),
     min_size=1, max_size=3))
+@example(overrides=[("family", "cat"), ("beta", 5e-324)])
 def test_shift_state_edge_values_keep_the_exit_contract(overrides):
     _assert_json_exit_contract(*_run_overrides("shift", "state", overrides))
