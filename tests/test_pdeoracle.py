@@ -8,11 +8,12 @@ import pytest
 from scipy.sparse import identity
 from scipy.sparse.linalg import splu
 
-from recoilspec import (CatState, FPParams, FockSuperposition, GaussianState,
-                        GridUnderflowError, overlap_after, overlap_pde,
-                        overlap_pde_batch)
-from recoilspec.pdeoracle import (GridSpec, _osc_wavenumber, _pde_operator,
-                                  default_grid, initial_wigner, propagate)
+from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
+                        GaussianState, GridUnderflowError, overlap_after,
+                        overlap_pde, overlap_pde_batch)
+from recoilspec.pdeoracle import (GridSpec, _crank_nicolson, _osc_wavenumber,
+                                  _pde_operator, default_grid, initial_wigner,
+                                  propagate)
 
 
 def test_vacuum_point():
@@ -71,6 +72,21 @@ def test_damped_gaussian_point():
 def test_zero_time_returns_unity():
     fp = FPParams(alpha=1.5, d=0.2, tbar=0.0)
     assert overlap_pde(GaussianState.vacuum(), fp) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n_steps", [0, -3, 3, 2.5])
+def test_bad_step_count_is_rejected(n_steps):
+    with pytest.raises(ConfigError, match="n_steps"):
+        overlap_pde(GaussianState.vacuum(),
+                    FPParams(alpha=1.0, d=0.1, tbar=1.0), n_steps=n_steps)
+
+
+def test_two_steps_is_the_smallest_step_count():
+    """One fine run of two steps and one coarse run of one step."""
+    fp = FPParams(alpha=1.0, d=0.1, tbar=1.0)
+    vac = GaussianState.vacuum()
+    assert overlap_pde(vac, fp, n_steps=2) == pytest.approx(
+        overlap_after(vac, fp), abs=1e-2)
 
 
 def test_undersized_grid_is_rejected():
@@ -135,12 +151,85 @@ def _propagate_with_explicit_rhs(w0, p, fp, n_steps):
 @pytest.mark.parametrize("alpha, d", [(0.5, 0.05), (1.5, 0.0)])
 def test_step_equals_the_explicit_right_hand_side(state, alpha, d):
     """w' = 2 L^-1 w - w is the step L w' = (I + dt/2 op) w, L = I - dt/2 op,
-    on the SVD momentum factors that overlap_pde_batch propagates."""
+    on the SVD momentum factors that overlap_pde_batch propagates, and
+    propagate extrapolates the runs of n and n/2 such steps."""
     fp = FPParams(alpha=alpha, d=d, tbar=1.0)
     x, p = default_grid(state, fp).axes()
     u, s, v = np.linalg.svd(initial_wigner(state, x, p), full_matrices=False)
     v = v[s > 1e-13 * s[0]]
     got = propagate(v, p, fp, n_steps=200)
-    want = _propagate_with_explicit_rhs(v, p, fp, n_steps=200)
+    want = (4.0 * _propagate_with_explicit_rhs(v, p, fp, n_steps=200)
+            - _propagate_with_explicit_rhs(v, p, fp, n_steps=100)) / 3.0
     assert np.max(np.abs(got)) > 1e-2
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_check_sees_both_runs_before_they_are_combined():
+    fp = FPParams(alpha=1.0, d=0.1, tbar=1.0)
+    x, p = default_grid(GaussianState.vacuum(), fp).axes()
+    w0 = initial_wigner(GaussianState.vacuum(), x[::8], p)
+    seen = []
+    got = propagate(w0, p, fp, n_steps=40, check=seen.append)
+    assert [run.shape for run in seen] == [w0.shape, w0.shape]
+    np.testing.assert_allclose(got, (4.0 * seen[0] - seen[1]) / 3.0,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        seen[1], _crank_nicolson(w0, _pde_operator(p, fp), fp.tbar, 20),
+        rtol=0, atol=1e-15)
+
+
+def _factor_overlap(state, fp, run):
+    """Remain probability, contracted as in overlap_pde_batch, after `run`
+    maps the SVD momentum factors of the initial Wigner matrix to time
+    fp.tbar on overlap_pde's default grid."""
+    x, p = default_grid(state, fp).axes()
+    dx, dp = x[1] - x[0], p[1] - p[0]
+    u, s, v = np.linalg.svd(initial_wigner(state, x, p), full_matrices=False)
+    keep = s > 1e-13 * s[0]
+    us, v = u[:, keep] * s[keep], v[keep]
+    vt = run(v, p)
+    gram_x = np.trapezoid(us[:, :, None] * us[:, None, :], dx=dx, axis=0)
+    gram_p = np.trapezoid(v[:, None, :] * vt[None, :, :], dx=dp, axis=2)
+    return 2.0 * math.pi * np.sum(gram_x * gram_p)
+
+
+ORDER_STATES = [GaussianState.vacuum(), GaussianState.squeezed(1.44),
+                CatState(2.0), FockSuperposition.fock(2)]
+ORDER_IDS = ["vacuum", "squeezed", "cat", "fock2"]
+
+
+@pytest.mark.parametrize("state", ORDER_STATES, ids=ORDER_IDS)
+@pytest.mark.parametrize("alpha, d", [(1.1, 0.3), (0.5, 0.1)])
+def test_plain_crank_nicolson_is_second_order(state, alpha, d):
+    """(P_N - P_N/2) / (P_N/2 - P_N/4) = 1/4 for an error even in dt with a
+    leading dt^2 term, which the extrapolation in propagate cancels."""
+    fp = FPParams(alpha=alpha, d=d, tbar=1.0)
+    p_n = [_factor_overlap(
+        state, fp, lambda v, p, n=n: _crank_nicolson(
+            v, _pde_operator(p, fp), fp.tbar, n)) for n in (400, 200, 100)]
+    ratio = (p_n[0] - p_n[1]) / (p_n[1] - p_n[2])
+    assert ratio == pytest.approx(0.25, abs=0.02)
+
+
+def _plain_default_steps(p, fp, osc_k):
+    """The step rule of the unextrapolated oracle."""
+    adv = abs(fp.alpha) + abs(fp.g) * float(np.max(np.abs(p)))
+    dt = min(0.02, 12.0 * (p[1] - p[0]) / adv)
+    if osc_k > 0.0:
+        dt = min(dt, 1.0 / (60.0 * osc_k * adv))
+    return max(100, math.ceil(fp.tbar / dt))
+
+
+@pytest.mark.parametrize("state, alpha", [
+    (CatState(2.0), 0.9), (CatState(2.0), 2.0),
+    (GaussianState.squeezed(1.44), 0.5), (FockSuperposition.fock(2), 2.0),
+], ids=["cat-0.9", "cat-2.0", "squeezed-0.5", "fock2-2.0"])
+def test_extrapolation_beats_plain_crank_nicolson(state, alpha):
+    """At the diffusion-free points where plain Crank-Nicolson at its own
+    default step errs most, the extrapolated default errs less."""
+    fp = FPParams(alpha=alpha, d=0.0, tbar=1.0)
+    want = overlap_after(state, fp)
+    osc_k = _osc_wavenumber(state)
+    plain = _factor_overlap(state, fp, lambda v, p: _crank_nicolson(
+        v, _pde_operator(p, fp), fp.tbar, _plain_default_steps(p, fp, osc_k)))
+    assert abs(overlap_pde(state, fp) - want) < abs(plain - want)
