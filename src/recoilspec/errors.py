@@ -34,7 +34,8 @@ class UnsupportedDampingError(RecoilSpecError):
 
 
 class GridUnderflowError(ConvergenceError):
-    """Probability mass leaked off the finite phase-space grid."""
+    """The finite phase-space grid misses the probability mass: it leaked
+    off the grid, or the grid is too coarse to integrate it."""
 
 
 class OptimizerError(ConvergenceError):

@@ -5,18 +5,21 @@ integrates
 
     dW/dtbar = alpha dW/dp + (d/2) d2W/dp2 + g d(p W)/dp
 
-along p, where x enters only as a parameter: the momentum factors of a
-thin SVD of the initial Wigner matrix are propagated, then the remain
-probability is the 2 pi weighted trapezoidal overlap with the initial
-Wigner function.  This route shares nothing with the closed-form and
-characteristic-function evaluations and serves as their cross-check.
+along p, where x enters only as a parameter.  Sixth-order central
+differences on a p grid of spacing feature/16 (second and fourth order on
+the two rows next to each Dirichlet edge) discretise the right-hand side.
+The momentum factors of a thin SVD of the initial Wigner matrix are
+propagated, then the remain probability is the 2 pi weighted trapezoidal
+overlap with the initial Wigner function.  This route shares nothing with
+the closed-form and characteristic-function evaluations and serves as
+their cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -39,6 +42,20 @@ class GridSpec:
     nx: int
     np_: int
 
+    def __post_init__(self):
+        for name in ("half_width_x", "half_width_p"):
+            h = getattr(self, name)
+            if not (isinstance(h, Real) and math.isfinite(h) and h > 0):
+                raise ConfigError(
+                    f"{name} must be finite and positive, got {h!r}")
+        # two x points for the trapezoid, seven p points for the stencil
+        for name, least in (("nx", 2), ("np_", 7)):
+            n = getattr(self, name)
+            if (isinstance(n, bool) or not isinstance(n, Integral)
+                    or n < least):
+                raise ConfigError(
+                    f"{name} must be an integer >= {least}, got {n!r}")
+
     def axes(self):
         x = np.linspace(-self.half_width_x, self.half_width_x, self.nx)
         p = np.linspace(-self.half_width_p, self.half_width_p, self.np_)
@@ -55,13 +72,14 @@ def wigner_gaussian(s: GaussianState, x, p):
 
 
 def wigner_cat(c: CatState, x, p):
-    xx, pp = np.meshgrid(x, p, indexing="ij")
-    n2 = c.normalization**2
+    """Two outer products of 1-D factors: the two lobes share e^{-p^2}, and
+    the fringe term is e^{-x^2} times e^{-p^2} cos(2 s p)."""
     s = math.sqrt(2.0) * c.beta
-    return (n2 / math.pi) * (np.exp(-(xx - s) ** 2 - pp**2)
-                             + np.exp(-(xx + s) ** 2 - pp**2)
-                             + 2.0 * np.exp(-xx**2 - pp**2)
-                             * np.cos(2.0 * s * pp))
+    gp = np.exp(-p**2)
+    lobes = np.exp(-(x - s) ** 2) + np.exp(-(x + s) ** 2)
+    fringe = 2.0 * np.exp(-x**2)
+    return (c.normalization**2 / math.pi) * (
+        np.outer(lobes, gp) + np.outer(fringe, gp * np.cos(2.0 * s * p)))
 
 
 def _fock_wavefunction(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -132,7 +150,7 @@ def default_grid(state: MotionalState, fp: FPParams) -> GridSpec:
     half_x = 6.0 * ext_x + 1.0
     # hp controls the finite-difference truncation error; hx only enters the
     # trapezoidal overlap, which converges much faster for smooth integrands.
-    hp = feat_p / 48.0
+    hp = feat_p / 16.0
     hx = feat_x / 3.0
     np_ = int(2 * math.ceil(half_p / hp) + 1)
     nx = int(2 * math.ceil(half_x / hx) + 1)
@@ -148,36 +166,42 @@ def _osc_wavenumber(state: MotionalState) -> float:
     return 0.0
 
 
+# Central-difference weights of half-width k = 1, 2, 3 (orders 2, 4, 6;
+# Fornberg, Math. Comp. 51:699, 1988): h^2 f''(p_i) ~ c0 f_i
+# + sum_j c_j (f_{i+j} + f_{i-j}) and h f'(p_i) ~ sum_j b_j (f_{i+j} - f_{i-j}).
+_STENCILS = {1: (-2.0, (1.0,), (1.0 / 2.0,)),
+             2: (-5.0 / 2.0, (4.0 / 3.0, -1.0 / 12.0),
+                 (2.0 / 3.0, -1.0 / 12.0)),
+             3: (-49.0 / 18.0, (3.0 / 2.0, -3.0 / 20.0, 1.0 / 90.0),
+                 (3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0))}
+
+
 def _pde_operator(p: np.ndarray, fp: FPParams):
     """Sparse (CSC) finite-difference form of the PDE's right-hand side.
 
-    Fourth-order central differences in the interior, second order on the
-    rows adjacent to the (deep-tail) Dirichlet boundary.
+    Sixth-order central differences in the interior (heptadiagonal).  Next
+    to the (deep-tail) Dirichlet rows 0 and m-1, which stay zero, rows 1 and
+    m-2 are second order and rows 2 and m-3 fourth order.
     """
     # imported here so that importing the package does not load scipy.sparse
     from scipy.sparse import diags
 
     hp = p[1] - p[0]
     m = len(p)
-    main = np.zeros(m)
-    lo1 = np.zeros(m - 1)
-    up1 = np.zeros(m - 1)
-    lo2 = np.zeros(m - 2)
-    up2 = np.zeros(m - 2)
     cd = 0.5 * fp.d / hp**2
     adv = (fp.alpha + fp.g * p) / hp
-    i = np.arange(2, m - 2)
-    main[i] = -30.0 / 12.0 * cd + fp.g
-    up1[i] = 16.0 / 12.0 * cd + 8.0 / 12.0 * adv[i]
-    lo1[i - 1] = 16.0 / 12.0 * cd - 8.0 / 12.0 * adv[i]
-    up2[i] = -1.0 / 12.0 * cd - 1.0 / 12.0 * adv[i]
-    lo2[i - 2] = -1.0 / 12.0 * cd + 1.0 / 12.0 * adv[i]
-    for j in (1, m - 2):
-        main[j] = -2.0 * cd + fp.g
-        up1[j] = cd + 0.5 * adv[j]
-        lo1[j - 1] = cd - 0.5 * adv[j]
-    return diags([lo2, lo1, main, up1, up2],
-                 offsets=[-2, -1, 0, 1, 2], format="csc")
+    main = np.zeros(m)
+    upper = [np.zeros(m - j) for j in (1, 2, 3)]
+    lower = [np.zeros(m - j) for j in (1, 2, 3)]
+    for k, rows in ((1, np.array([1, m - 2])), (2, np.array([2, m - 3])),
+                    (3, np.arange(3, m - 3))):
+        c0, c, b = _STENCILS[k]
+        main[rows] = c0 * cd + fp.g
+        for j in range(1, k + 1):
+            upper[j - 1][rows] = c[j - 1] * cd + b[j - 1] * adv[rows]
+            lower[j - 1][rows - j] = c[j - 1] * cd - b[j - 1] * adv[rows]
+    return diags(lower[::-1] + [main] + upper, offsets=range(-3, 4),
+                 format="csc")
 
 
 def _default_steps(p: np.ndarray, fp: FPParams, osc_k: float) -> int:
@@ -293,13 +317,17 @@ def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
     wp = _trapezoid_weights(p)
     w0 = initial_wigner(state, x, p)
     mass = float(wx @ w0 @ wp)
-    if mass < 1.0 - mass_tol:
+    if not abs(mass - 1.0) <= mass_tol:
         raise GridUnderflowError(
-            f"initial Wigner mass {mass:.8f} below tolerance; enlarge grid")
-    u, s, v = np.linalg.svd(w0, full_matrices=False)
+            f"initial Wigner mass {mass:.8f} is not within {mass_tol:g} of 1;"
+            " enlarge or refine the grid")
+    # W0 is short and wide (nx << np_): with W0^T = Q R, the SVD of the
+    # small factor R^T = U S Vr gives W0 = U S (Vr Q^T).
+    q, r = np.linalg.qr(w0.T)
+    u, s, vr = np.linalg.svd(r.T, full_matrices=False)
     rank = int(np.count_nonzero(s > _SVD_RTOL * s[0]))
     us = u[:, :rank] * s[:rank]
-    v = v[:rank]
+    v = vr[:rank] @ q.T
     gram_x = us.T @ (wx[:, None] * us)
     mass_x = wx @ us
     osc_k = _osc_wavenumber(state)

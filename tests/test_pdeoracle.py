@@ -233,3 +233,84 @@ def test_extrapolation_beats_plain_crank_nicolson(state, alpha):
     plain = _factor_overlap(state, fp, lambda v, p: _crank_nicolson(
         v, _pde_operator(p, fp), fp.tbar, _plain_default_steps(p, fp, osc_k)))
     assert abs(overlap_pde(state, fp) - want) < abs(plain - want)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(half_width_x=math.nan), dict(half_width_x=math.inf),
+    dict(half_width_p=0.0), dict(half_width_p=-6.0),
+    dict(nx=0), dict(nx=1), dict(nx=41.0), dict(np_=3), dict(np_=5),
+    dict(np_=6), dict(np_=True),
+], ids=lambda kw: ",".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_bad_grid_is_a_config_error(kwargs):
+    """Non-finite or non-positive half-widths, fewer than two x points and
+    fewer than the seven p points of the stencil are rejected."""
+    spec = dict(half_width_x=6.0, half_width_p=6.0, nx=41, np_=41)
+    spec.update(kwargs)
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        GridSpec(**spec)
+
+
+def test_smallest_grid_is_accepted():
+    x, p = GridSpec(6.0, 6.0, 2, 7).axes()
+    assert (len(x), len(p)) == (2, 7)
+
+
+@pytest.mark.parametrize("np_", [7, 9, 15])
+def test_coarse_grid_with_excess_mass_is_rejected(np_):
+    """A p grid too coarse for the vacuum puts trapezoid mass above 1
+    (1.17 at 7 points); the mass check is two-sided."""
+    grid = GridSpec(half_width_x=6.0, half_width_p=6.0, nx=41, np_=np_)
+    with pytest.raises(GridUnderflowError, match="initial Wigner mass 1"):
+        overlap_pde(GaussianState.vacuum(),
+                    FPParams(alpha=0.5, d=0.1, tbar=1.0), grid=grid)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 2.0, 3.5])
+def test_cat_wigner_equals_the_grid_formula(beta):
+    """The 1-D factor form of wigner_cat is the three-exponential formula."""
+    cat = CatState(beta)
+    x, p = default_grid(cat, FPParams(alpha=1.1, d=0.3, tbar=1.0)).axes()
+    xx, pp = np.meshgrid(x, p, indexing="ij")
+    s = math.sqrt(2.0) * beta
+    want = (cat.normalization**2 / math.pi) * (
+        np.exp(-(xx - s) ** 2 - pp**2) + np.exp(-(xx + s) ** 2 - pp**2)
+        + 2.0 * np.exp(-xx**2 - pp**2) * np.cos(2.0 * s * pp))
+    got = initial_wigner(cat, x, p)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha, d, g", [(0.7, 0.3, 0.05), (-1.2, 0.05, -0.2)])
+def test_stencil_is_sixth_order(alpha, d, g):
+    """On the rows away from the boundary, halving h divides the error of
+    the operator on a smooth function by 2^6."""
+    fp = FPParams(alpha=alpha, d=d, tbar=1.0, g=g)
+    errors = []
+    for m in (161, 321):
+        p = np.linspace(-8.0, 8.0, m)
+        z = (p - 0.3) / 0.9
+        f = np.exp(-0.5 * z**2)
+        df = -z / 0.9 * f
+        d2f = (z**2 - 1.0) / 0.81 * f
+        want = alpha * df + 0.5 * d * d2f + g * (f + p * df)
+        got = _pde_operator(p, fp) @ f
+        errors.append(np.max(np.abs(got - want)[3:-3]))
+    assert errors[0] / errors[1] == pytest.approx(64.0, rel=0.1)
+
+
+# Worst |dP| against overlap_after on the (alpha, d) corners of acceptance
+# criterion 5's grid, a little above the oracle's errors there (1.7e-7 to
+# 1.3e-6): a silent loss of accuracy fails, criterion 5's 1e-4 does not.
+@pytest.mark.parametrize("state, bound", [
+    (GaussianState.vacuum(), 5e-7),
+    (GaussianState.squeezed(1.44), 2e-7),
+    (CatState(2.0), 1.5e-6),
+    (FockSuperposition.fock(2), 2e-7),
+    (FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(3) / 2}), 1e-6),
+    (GaussianState.squeezed(0.5, phase=math.pi / 5), 1.3e-7),
+], ids=["vacuum", "squeezed", "cat", "fock2", "fock24", "rotated-squeezed"])
+def test_accuracy_on_the_criterion_5_corners(state, bound):
+    fps = [FPParams(alpha=a, d=d, tbar=1.0) for a in (0.0, 2.0)
+           for d in (0.0, 0.3)]
+    worst = max(abs(got - overlap_after(state, fp))
+                for fp, got in zip(fps, overlap_pde_batch(state, fps)))
+    assert worst <= bound
