@@ -86,9 +86,6 @@ def bloch_matrix(p: PulseParams, doppler_momentum: float = 0.0):
 _Z0 = np.array([0.0, 0.0, -1.0, 1.0])
 _REGRESS = np.zeros((4, 4))
 _REGRESS[1, 3] = _REGRESS[3, 1] = 1.0
-# An eigenbasis of condition c loses about c ulps; past this bound (near the
-# exceptional point Omega = Gamma/4, Delta = 0) e^{tA} comes from expm.
-_COND_MAX = 1e4
 
 
 def affine_generator(p: PulseParams, doppler_momentum: float = 0.0):
@@ -99,23 +96,13 @@ def affine_generator(p: PulseParams, doppler_momentum: float = 0.0):
     return a
 
 
-def _matvec(mat, vecs):
-    """mat @ v for each row v of vecs, as a stack of 4x4 products: one
-    (k, 4) @ (4, 4) product may sum a row in another order for another k,
-    and a batch would then differ from single calls in the last bits."""
-    return (mat @ vecs[..., None])[..., 0]
-
-
 @lru_cache(maxsize=256)
 def _cached_propagator(p: PulseParams, doppler_momentum: float):
-    """(taus, vecs) -> e^{tau A} v row by row, vecs shaped taus + (4,)."""
+    """(taus, vecs) -> e^{tau A} v row by row, vecs shaped taus + (4,): a
+    stack of 4x4 products, so a batch equals single calls bit for bit."""
     a = affine_generator(p, doppler_momentum)
-    lam, basis = np.linalg.eig(a)
-    if np.linalg.cond(basis) > _COND_MAX:
-        return lambda taus, v: _matvec(expm(taus[..., None, None] * a), v)
-    inv = np.linalg.inv(basis)
-    return lambda taus, v: _matvec(
-        basis, np.exp(taus[..., None] * lam) * _matvec(inv, v)).real
+    return lambda taus, v: (expm(taus[..., None, None] * a)
+                            @ v[..., None])[..., 0]
 
 
 def _checked_inputs(p: PulseParams, doppler_momentum: float, *times):

@@ -191,8 +191,7 @@ def write_table(out, fmt: str, cfg: dict, command: str,
         text = buf.getvalue()
     else:
         payload = {"command": command, "config": cfg, "columns": columns,
-                   "rows": [[None if v is None else v for v in row]
-                            for row in rows]}
+                   "rows": rows}
         text = json.dumps(payload, sort_keys=True, indent=2,
                           default=float) + "\n"
     if out == "-":

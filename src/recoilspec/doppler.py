@@ -12,13 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bloch import PulseParams
 from .errors import ConfigError, FlatFlankError, PerturbativeRegimeError
 from .metrology import find_working_point
-from .phasespace import (CatState, FPParams, FockSuperposition, GaussianState,
-                         MotionalState, overlap_slopes)
+from .phasespace import FPParams, MotionalState, overlap_slopes
 from .recoil import coefficients_with_slopes
 
 MAX_GTBAR = 0.1
@@ -35,21 +32,6 @@ class ShiftResult:
     dp_ddelta: float
 
 
-def _reflection_symmetric(state: MotionalState) -> bool:
-    """Whether the Wigner function is even under p -> -p or under a point
-    reflection (x, p) -> (x0 - x, -p): a Gaussian with <p> = 0, every
-    (real-beta) cat, a Fock superposition with real coefficients up to a
-    global phase, or one of a single parity."""
-    if isinstance(state, GaussianState):
-        return state.mean[1] == 0.0
-    if isinstance(state, FockSuperposition):
-        c = state.coeffs
-        top = c[np.argmax(np.abs(c))]
-        real = np.all(np.abs((c * np.conj(top)).imag) <= 1e-12 * abs(top))
-        return bool(real) or len(set(np.flatnonzero(c) % 2)) == 1
-    return isinstance(state, CatState)
-
-
 def asymmetric_overlap(state: MotionalState, fp: FPParams):
     """(P_sym, deltaP, c): symmetric overlap, first-order-in-g odd part and
     the order-unity constant c = deltaP / ((g tbar / 2) P_sym).
@@ -62,12 +44,12 @@ def asymmetric_overlap(state: MotionalState, fp: FPParams):
     if abs(fp.g * fp.tbar) > MAX_GTBAR:
         raise PerturbativeRegimeError(
             f"|g tbar| = {abs(fp.g * fp.tbar):.3g} beyond perturbative range")
-    if not _reflection_symmetric(state):
+    p_sym = overlap_slopes(state, replace(fp, g=0.0))[0]   # rejects non-states
+    if not state.reflection_symmetric():
         raise ConfigError(
             "the first-order Doppler term needs a probe whose Wigner function "
             "is even under p -> -p or under a point reflection "
             "(x, p) -> (x0 - x, -p)")
-    p_sym = overlap_slopes(state, replace(fp, g=0.0))[0]
     return p_sym, 0.5 * fp.g * fp.tbar * p_sym, 1.0
 
 

@@ -5,7 +5,7 @@ drift/diffusion model: the drift slope with respect to detuning is divided
 out, so sensitivities depend only on the probe state, the diffusion ratio
 epsilon = d/alpha, and the target probability p0.  Physical-unit numbers
 are recovered by the callers that hold a pulse configuration.  The slopes
-of the overlap are exact (the family functions behind
+of the overlap are exact (each probe state's `slopes`, the route behind
 `phasespace.overlap_slopes`, evaluated on arrays); nothing here takes a
 finite difference, and the working point is found by Newton on them.
 """
@@ -15,20 +15,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NoCrossingError
-from .phasespace import (CatState, FPParams, FockSuperposition, GaussianState,
-                         MotionalState, _family_slopes, _gaussian_slopes,
-                         state_qfi)
+from .phasespace import FPParams, GaussianState, MotionalState, state_qfi
 
 _LN2 = math.log(2.0)
 DEFAULT_EPS_MAX = 0.3
 # The working-point march gives up after 640 half-widths sqrt(2 ln 2)/alpha
-# of the vacuum overlap (scaled by e^r for squeezed probes).
+# of the vacuum overlap (scaled by the state's `march_scale`, e^r for
+# squeezed probes).
 _MARCH_SPAN = 640.0
 # Factor by which a crossing inside the first march step is bracketed
 # away from 0.
@@ -46,7 +44,6 @@ class WorkingPoint:
 
     tstar: float
     p0: float = 0.5
-    delta0: float | None = None
 
 
 @dataclass(frozen=True)
@@ -69,17 +66,9 @@ def _check_epsilon(epsilon: float, allow_large: bool):
 
 
 def _march_step(state: MotionalState, alpha: float) -> float:
-    """March step small enough to resolve the fastest overlap oscillation."""
-    step = 0.05 * math.sqrt(2.0 * _LN2) / alpha
-    if isinstance(state, CatState) and state.beta * alpha > 0.0:
-        step = min(step, 0.25 / (math.sqrt(2.0) * state.beta * alpha))
-    elif isinstance(state, FockSuperposition):
-        n_top = len(state.coeffs) - 1
-        step = min(step, 0.25 / (math.sqrt(2.0 * n_top + 1.0) * alpha))
-    elif isinstance(state, GaussianState):
-        sig = math.sqrt(min(np.linalg.eigvalsh(state.cov)))
-        step = min(step, 0.5 * sig / alpha)
-    return step
+    """March step small enough to resolve the fastest overlap oscillation:
+    1/20 of the vacuum half-width, or the state's own step if shorter."""
+    return min(0.05 * math.sqrt(2.0 * _LN2) / alpha, state.march_step(alpha))
 
 
 def _bracketed_newton(f: Callable[[float], tuple[float, float]],
@@ -219,19 +208,17 @@ def _first_step_root(slopes: Callable, p0: float, t: float, p_t: float,
 
 def find_working_point(state: MotionalState, epsilon: float,
                        p0: float = 0.5, alpha: float = 1.0,
-                       allow_large_epsilon: bool = False,
-                       delta0: float | None = None) -> WorkingPoint:
+                       allow_large_epsilon: bool = False) -> WorkingPoint:
     """Smallest tbar with overlap p0 under drift alpha and diffusion
     d = epsilon * alpha."""
+    if not isinstance(state, MotionalState):
+        raise ConfigError(f"unsupported state type {type(state).__name__}")
     _check_epsilon(epsilon, allow_large_epsilon)
     fp = FPParams(alpha=alpha, d=epsilon * alpha, tbar=0.0)   # validates
-    r_eff = 0.0
-    if isinstance(state, GaussianState):
-        r_eff = 0.5 * math.log(2.0 * float(np.max(np.linalg.eigvalsh(state.cov))))
-    t_max = _MARCH_SPAN * math.exp(abs(r_eff)) * math.sqrt(2.0 * _LN2) / alpha
-    slopes = _along_tbar(partial(_family_slopes, state), fp.alpha, fp.d)
+    t_max = _MARCH_SPAN * state.march_scale() * math.sqrt(2.0 * _LN2) / alpha
+    slopes = _along_tbar(state.slopes, fp.alpha, fp.d)
     root = find_root_tbar(slopes, p0, _march_step(state, alpha), t_max)
-    return WorkingPoint(tstar=root, p0=p0, delta0=delta0)
+    return WorkingPoint(tstar=root, p0=p0)
 
 
 def recoil_sensitivity(state: MotionalState, epsilon: float,
@@ -252,7 +239,7 @@ def recoil_sensitivity(state: MotionalState, epsilon: float,
     t = wp.tstar
     # S = (1/t) dP/dalpha = dP/du, read directly: t dP/du underflows
     # where t* is tiny
-    _, p_u, p_v = _family_slopes(state, alpha * t, epsilon * alpha * t)
+    _, p_u, p_v = state.slopes(alpha * t, epsilon * alpha * t)
     s_drift = float(p_u)
     s_diff = epsilon * float(p_v) if mode == "extended" else 0.0
     s_abs = abs(s_drift + s_diff)
@@ -317,12 +304,12 @@ def phase_mismatch_sensitivity(r: float, dphi: float, epsilon: float,
     _check_epsilon(epsilon, allow_large_epsilon)
     probe = GaussianState.squeezed(r, math.pi / 2)
     proj = GaussianState.squeezed(r, math.pi / 2 - dphi)
-    sigma = probe.cov + proj.cov
+    # the overlap sees only probe.cov + proj.cov
+    pair = GaussianState(np.zeros(2), 0.5 * (probe.cov + proj.cov))
     d = epsilon * alpha
 
-    uv_slopes = partial(_gaussian_slopes, sigma)
     t_max = _MARCH_SPAN * math.exp(r) * math.sqrt(2.0 * _LN2) / alpha
-    tstar = find_root_tbar(_along_tbar(uv_slopes, alpha, d), p0,
+    tstar = find_root_tbar(_along_tbar(pair.slopes, alpha, d), p0,
                            _march_step(probe, alpha), t_max)
     # |S| = |dP/dalpha| / tstar = |dP/du|
-    return abs(float(uv_slopes(alpha * tstar, d * tstar)[1]))
+    return abs(float(pair.slopes(alpha * tstar, d * tstar)[1]))

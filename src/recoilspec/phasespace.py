@@ -7,10 +7,12 @@ so the choice is fixed purely for reproducibility.
 
 Gaussian states evolve by closed-form moment solutions (exact also with the
 Doppler damping g).  At g = 0 every overlap and its exact drift and
-diffusion slopes come from one route, the 1-D displacement fidelity
-(`_family_slopes` on arrays of points, `overlap_slopes` at one point):
-closed forms for Gaussian and cat states, exact Gauss-Hermite quadrature
-for Fock superpositions.
+diffusion slopes come from one route, the 1-D displacement fidelity: each
+state family's `slopes(u, v)` on arrays of points (closed forms for
+Gaussian and cat states, exact Gauss-Hermite quadrature for Fock
+superpositions), and `overlap_slopes` at one point.  Each family also owns
+what the working-point march and the Doppler term need to know about it:
+`march_step`, `march_scale` and `reflection_symmetric`.
 """
 
 from __future__ import annotations
@@ -99,9 +101,50 @@ class GaussianState:
         core = 0.5 * np.diag([math.exp(2 * r), math.exp(-2 * r)])
         return cls(np.zeros(2), rot @ core @ rot.T)
 
+    @property
+    def nbar(self) -> float:
+        # nbar = (tr(cov) - 1)/2 + |mean|^2/2 for our convention.
+        return float(0.5 * (np.trace(self.cov) - 1.0)
+                     + 0.5 * self.mean @ self.mean)
+
     def qfi_displacement(self) -> float:
         """QFI for momentum displacements: 4 Var(x)."""
         return 4.0 * self.cov[0, 0]
+
+    def slopes(self, u, v):
+        """(P, dP/du, dP/dv) for P = det S^{-1/2} exp(-u^2 q / 2), where
+        S = 2 cov + diag(0, v) and q = S_xx / det S: the overlap of the
+        state with itself after a momentum kick drawn from N(u, v).  It
+        depends on the two covariances only through their sum, so a probe
+        and a different projector act as one state of their mean
+        covariance.  Arrays u, v broadcast."""
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        sigma = 2.0 * self.cov
+        sxx = float(sigma[0, 0])
+        det = (sxx * (float(sigma[1, 1]) + v)
+               - float(sigma[0, 1] * sigma[1, 0]))
+        q = sxx / det
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = det**-0.5 * np.exp(-0.5 * u * u * q)
+            # P = 0 on underflow, and inf * 0 once u * u or v overflows
+            live = p > 0.0
+            return tuple(np.where(live, w, 0.0) for w in
+                         (p, -p * u * q, 0.5 * p * (u * u * q * q - q)))
+
+    def march_step(self, alpha: float) -> float:
+        """Half the narrowest standard deviation, as a drift time."""
+        sig = math.sqrt(min(np.linalg.eigvalsh(self.cov)))
+        return 0.5 * sig / alpha
+
+    def march_scale(self) -> float:
+        """e^{|r|} for the largest variance e^{2r}/2: how much longer than
+        the vacuum's the overlap may take to decay."""
+        top = float(np.max(np.linalg.eigvalsh(self.cov)))
+        return math.exp(abs(0.5 * math.log(2.0 * top)))
+
+    def reflection_symmetric(self) -> bool:
+        """<p> = 0: the Wigner function is even under a point reflection."""
+        return bool(self.mean[1] == 0.0)
 
 
 @dataclass(frozen=True)
@@ -127,11 +170,51 @@ class CatState:
         n2 = self.normalization**2
         return 2.0 * (1.0 + 8.0 * self.beta**2 * n2)
 
+    def slopes(self, u, v):
+        """(P, dP/du, dP/dv) from the three cosine terms of
+        |G(y)|^2 = 4 N^4 e^{-y^2/2} (cos(sqrt2 beta y) + e^{-2 beta^2})^2.
+
+        Each term's average E[e^{-y^2/2 + i k y}] over y ~ N(u, v) is
+        (1+v)^{-1/2} exp(e / (1+v)) with e = -u^2/2 + i k u - k^2 v / 2.
+        Arrays u, v broadcast; the terms run along a trailing axis.
+        """
+        q = math.exp(-2.0 * self.beta**2)
+        n4 = self.normalization**4
+        k = _SQRT2 * self.beta * np.array([0.0, 2.0, 1.0])
+        amp = 4.0 * n4 * np.array([0.5 + q * q, 0.5, 2.0 * q])
+        u = np.asarray(u, dtype=float)[..., None]
+        v = np.asarray(v, dtype=float)[..., None]
+        den = 1.0 + v
+        with np.errstate(over="ignore", invalid="ignore"):
+            # every term underflows, and u * u may overflow: 0 * inf
+            live = np.exp(-0.5 * u * u / den)[..., 0] > 0.0
+            ex = -0.5 * u * u + 1j * k * u - 0.5 * k * k * v
+            h = amp * np.exp(ex / den) / np.sqrt(den)
+            h_u = h * (1j * k - u) / den
+            # ex / den / den, not ex / den**2, which overflows sooner
+            h_v = -h * (0.5 * (1.0 + k * k) / den + ex / den / den)
+            return tuple(np.where(live, np.sum(w, axis=-1).real, 0.0)
+                         for w in (h, h_u, h_v))
+
+    def march_step(self, alpha: float) -> float:
+        """A step that resolves the fringe cos(sqrt2 beta alpha tbar);
+        unbounded where beta alpha leaves no fringe."""
+        if self.beta * alpha > 0.0:
+            return 0.25 / (math.sqrt(2.0) * self.beta * alpha)
+        return math.inf
+
+    def march_scale(self) -> float:
+        return 1.0
+
+    def reflection_symmetric(self) -> bool:
+        """Every real-beta cat is even under p -> -p."""
+        return True
+
 
 class FockSuperposition:
     """Finite superposition sum_n c_n |n>, truncated at n_max <= 64."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_levels", "_vecs")
 
     MAX_N = 64
 
@@ -145,6 +228,11 @@ class FockSuperposition:
         if not abs(norm - 1.0) <= 1e-12:   # NaN included
             raise ConfigError("coefficients must be normalized to 1e-12")
         self.coeffs = coeffs
+        # the rows c and x c of the slopes, on the levels either one uses
+        c = np.append(coeffs, 0.0)          # room for x c one level up
+        vecs = np.array([c, _position_times(c)])
+        self._levels = np.flatnonzero(np.any(vecs != 0.0, axis=0))
+        self._vecs = vecs[:, self._levels]
 
     @classmethod
     def from_dict(cls, entries: dict[int, complex]) -> "FockSuperposition":
@@ -182,6 +270,61 @@ class FockSuperposition:
     def qfi_displacement(self) -> float:
         ex, ex2 = self.x_moments()
         return 4.0 * (ex2 - ex**2)
+
+    def slopes(self, u, v):
+        """(P, dP/du, dP/dv), exact.
+
+        G(y) = <psi|e^{iyx}|psi> is e^{-y^2/4} times a polynomial of degree
+        <= 2 n_max, so F = |G|^2 and its y-derivatives F', F'' are
+        e^{-y^2/2} times polynomials of degree <= 4 n_max + 2.  The envelope
+        folds into the kick distribution, E_{N(u,v)}[h] = (1+v)^{-1/2}
+        e^{-u^2/(2(1+v))} E_{z~N(u/(1+v), v/(1+v))}[h e^{z^2/2}], and
+        2 n_max + 2 probabilists' Gauss-Hermite nodes integrate the
+        remaining polynomials exactly.  The heat equation gives
+        dP/dv = E[F''] / 2.  Arrays u, v broadcast; their nodes form one
+        (points x nodes) grid.
+        """
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                   np.asarray(v, dtype=float))
+        shape = u.shape
+        u, v = u.reshape(-1, 1), v.reshape(-1, 1)
+        idx, vecs = self._levels, self._vecs
+        den = 1.0 + v
+        z, w = _hermite_e_rule(2 * len(self.coeffs))
+        z = u / den + np.sqrt(v / den) * z
+        rows = max(1, _KICK_BUDGET // (z.shape[1] * len(idx) ** 2))
+        # g[..., i, j] = vecs_i^dag D vecs_j, with vecs = (c, x c)
+        g = np.concatenate([
+            np.einsum("ia,kab,jb->kij", np.conj(vecs),
+                      _kick_elements(idx, z[r:r + rows].ravel()), vecs)
+            for r in range(0, len(z), rows)]).reshape(*z.shape, 2, 2)
+        g0, g1, g2 = g[..., 0, 0], 1j * g[..., 1, 0], -g[..., 1, 1]
+        f0 = np.abs(g0) ** 2
+        f1 = 2.0 * np.real(np.conj(g0) * g1)
+        f2 = 2.0 * np.real(np.abs(g1) ** 2 + np.conj(g0) * g2)
+        # one exponent: F underflows gracefully where e^{z^2/2} alone
+        # overflows
+        wz = w * np.exp(0.5 * (z * z - u * u / den)) / np.sqrt(den)
+        # a (1 x nodes) @ (nodes x 1) product per point sums as a 1-D dot
+        return tuple((wz[:, None] @ fk[..., None]).reshape(shape) * scale
+                     for fk, scale in ((f0, 1.0), (f1, 1.0), (f2, 0.5)))
+
+    def march_step(self, alpha: float) -> float:
+        """A step that resolves the fastest oscillation, set by the top
+        level n as 1/(sqrt(2n+1) alpha)."""
+        n_top = len(self.coeffs) - 1
+        return 0.25 / (math.sqrt(2.0 * n_top + 1.0) * alpha)
+
+    def march_scale(self) -> float:
+        return 1.0
+
+    def reflection_symmetric(self) -> bool:
+        """Real coefficients up to a global phase (even under p -> -p),
+        or a single parity (even under a point reflection)."""
+        c = self.coeffs
+        top = c[np.argmax(np.abs(c))]
+        real = np.all(np.abs((c * np.conj(top)).imag) <= 1e-12 * abs(top))
+        return bool(real) or len(set(np.flatnonzero(c) % 2)) == 1
 
 
 MotionalState = GaussianState | CatState | FockSuperposition
@@ -224,50 +367,6 @@ def overlap_gaussian(a: GaussianState, b: GaussianState) -> float:
         raise ConfigError("singular covariance sum")
     dm = a.mean - b.mean
     return float(det**-0.5 * math.exp(-0.5 * dm @ np.linalg.solve(sigma, dm)))
-
-
-def _gaussian_slopes(sigma: np.ndarray, u, v):
-    """(P, dP/du, dP/dv) for P = det S^{-1/2} exp(-u^2 q / 2), where
-    S = sigma + diag(0, v) and q = S_xx / det S: the overlap of two
-    zero-displacement Gaussians whose covariances sum to sigma, after a
-    momentum kick drawn from N(u, v).  Arrays u, v broadcast."""
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    sxx = float(sigma[0, 0])
-    det = sxx * (float(sigma[1, 1]) + v) - float(sigma[0, 1] * sigma[1, 0])
-    q = sxx / det
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = det**-0.5 * np.exp(-0.5 * u * u * q)
-        # P = 0 on underflow, and inf * 0 once u * u or v overflows
-        live = p > 0.0
-        return tuple(np.where(live, w, 0.0) for w in
-                     (p, -p * u * q, 0.5 * p * (u * u * q * q - q)))
-
-
-def _cat_slopes(c: CatState, u, v):
-    """(P, dP/du, dP/dv) for the even cat, from the three cosine terms of
-    |G(y)|^2 = 4 N^4 e^{-y^2/2} (cos(sqrt2 beta y) + e^{-2 beta^2})^2.
-
-    Each term's average E[e^{-y^2/2 + i k y}] over y ~ N(u, v) is
-    (1+v)^{-1/2} exp(e / (1+v)) with e = -u^2/2 + i k u - k^2 v / 2.
-    Arrays u, v broadcast; the terms run along a trailing axis.
-    """
-    q = math.exp(-2.0 * c.beta**2)
-    n4 = c.normalization**4
-    k = _SQRT2 * c.beta * np.array([0.0, 2.0, 1.0])
-    amp = 4.0 * n4 * np.array([0.5 + q * q, 0.5, 2.0 * q])
-    u = np.asarray(u, dtype=float)[..., None]
-    v = np.asarray(v, dtype=float)[..., None]
-    den = 1.0 + v
-    with np.errstate(over="ignore", invalid="ignore"):
-        # every term underflows, and u * u may overflow: 0 * inf
-        live = np.exp(-0.5 * u * u / den)[..., 0] > 0.0
-        ex = -0.5 * u * u + 1j * k * u - 0.5 * k * k * v
-        h = amp * np.exp(ex / den) / np.sqrt(den)
-        h_u = h * (1j * k - u) / den
-        # ex / den / den, not ex / den**2, which overflows sooner
-        h_v = -h * (0.5 * (1.0 + k * k) / den + ex / den / den)
-        return tuple(np.where(live, np.sum(w, axis=-1).real, 0.0)
-                     for w in (h, h_u, h_v))
 
 
 def _kick_elements(idx: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -314,58 +413,6 @@ def _position_times(c: np.ndarray) -> np.ndarray:
 _KICK_BUDGET = 2**20
 
 
-def _fock_slopes(f: FockSuperposition, u, v):
-    """(P, dP/du, dP/dv) for a Fock superposition, exact.
-
-    G(y) = <psi|e^{iyx}|psi> is e^{-y^2/4} times a polynomial of degree
-    <= 2 n_max, so F = |G|^2 and its y-derivatives F', F'' are e^{-y^2/2}
-    times polynomials of degree <= 4 n_max + 2.  The envelope folds into
-    the kick distribution, E_{N(u,v)}[h] = (1+v)^{-1/2} e^{-u^2/(2(1+v))}
-    E_{z~N(u/(1+v), v/(1+v))}[h e^{z^2/2}], and 2 n_max + 2 probabilists'
-    Gauss-Hermite nodes integrate the remaining polynomials exactly.  The
-    heat equation gives dP/dv = E[F''] / 2.  Arrays u, v broadcast; their
-    nodes form one (points x nodes) grid.
-    """
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
-                               np.asarray(v, dtype=float))
-    shape = u.shape
-    u, v = u.reshape(-1, 1), v.reshape(-1, 1)
-    c = np.append(f.coeffs, 0.0)          # room for x c one level up
-    vecs = np.array([c, _position_times(c)])
-    idx = np.flatnonzero(np.any(vecs != 0.0, axis=0))
-    vecs = vecs[:, idx]
-    den = 1.0 + v
-    z, w = _hermite_e_rule(2 * len(f.coeffs))
-    z = u / den + np.sqrt(v / den) * z
-    rows = max(1, _KICK_BUDGET // (z.shape[1] * len(idx) ** 2))
-    # g[..., i, j] = vecs_i^dag D vecs_j, with vecs = (c, x c)
-    g = np.concatenate([
-        np.einsum("ia,kab,jb->kij", np.conj(vecs),
-                  _kick_elements(idx, z[r:r + rows].ravel()), vecs)
-        for r in range(0, len(z), rows)]).reshape(*z.shape, 2, 2)
-    g0, g1, g2 = g[..., 0, 0], 1j * g[..., 1, 0], -g[..., 1, 1]
-    f0 = np.abs(g0) ** 2
-    f1 = 2.0 * np.real(np.conj(g0) * g1)
-    f2 = 2.0 * np.real(np.abs(g1) ** 2 + np.conj(g0) * g2)
-    # one exponent: F underflows gracefully where e^{z^2/2} alone overflows
-    wz = w * np.exp(0.5 * (z * z - u * u / den)) / np.sqrt(den)
-    # a (1 x nodes) @ (nodes x 1) product per point sums as a 1-D dot
-    return tuple((wz[:, None] @ fk[..., None]).reshape(shape) * scale
-                 for fk, scale in ((f0, 1.0), (f1, 1.0), (f2, 0.5)))
-
-
-def _family_slopes(state: MotionalState, u, v):
-    """(P, dP/du, dP/dv) arrays at drift u and diffusion v (arrays that
-    broadcast): the 1-D displacement fidelity of every probe family."""
-    if isinstance(state, GaussianState):
-        return _gaussian_slopes(2.0 * state.cov, u, v)
-    if isinstance(state, CatState):
-        return _cat_slopes(state, u, v)
-    if isinstance(state, FockSuperposition):
-        return _fock_slopes(state, u, v)
-    raise ConfigError(f"unsupported state type {type(state).__name__}")
-
-
 def overlap_slopes(state: MotionalState, fp: FPParams):
     """(P, dP/dalpha, dP/dd): the remain probability after drift and
     diffusion and its exact slopes, for g = 0.
@@ -376,8 +423,10 @@ def overlap_slopes(state: MotionalState, fp: FPParams):
     """
     if fp.g != 0.0:
         raise UnsupportedDampingError("exact overlap slopes require g = 0")
-    p, p_u, p_v = (float(x) for x in _family_slopes(
-        state, fp.alpha * fp.tbar, fp.d * fp.tbar))
+    if not isinstance(state, MotionalState):
+        raise ConfigError(f"unsupported state type {type(state).__name__}")
+    p, p_u, p_v = (float(x) for x in state.slopes(
+        fp.alpha * fp.tbar, fp.d * fp.tbar))
     return p, p_u * fp.tbar, p_v * fp.tbar
 
 
@@ -391,10 +440,6 @@ def overlap_after(state: MotionalState, fp: FPParams) -> float:
 
 def state_nbar(state: MotionalState) -> float:
     """Mean occupation number of any supported state."""
-    if isinstance(state, GaussianState):
-        # nbar = (tr(cov) - 1)/2 + |mean|^2/2 for our convention.
-        return float(0.5 * (np.trace(state.cov) - 1.0)
-                     + 0.5 * state.mean @ state.mean)
     return state.nbar
 
 

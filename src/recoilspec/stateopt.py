@@ -17,7 +17,7 @@ from .bloch import PulseParams
 from .errors import (ConfigError, ConvergenceError, NoCrossingError,
                      OptimizerError)
 from .metrology import _hermite_newton, recoil_sensitivity
-from .phasespace import FockSuperposition, _gaussian_slopes
+from .phasespace import FockSuperposition, GaussianState
 from .recoil import DriftDiffusion, compute_coefficients
 
 
@@ -224,9 +224,8 @@ def single_photon_budget(pulse: PulseParams, p0: float = 0.5,
     tstar = 1.0 / coeffs.n1
     u, v = coeffs.alpha_p * tstar, coeffs.d_pp * tstar
 
-    def gap(r):   # momentum-squeezed vacuum: probe + projector covariance
-        sigma = np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)])
-        p, p_u, p_v = _gaussian_slopes(sigma, u, v)
+    def gap(r):   # momentum-squeezed vacuum
+        p, p_u, p_v = GaussianState.squeezed(r).slopes(u, v)
         # P depends on r only through u e^r and v e^{2r}
         return float(p) - p0, float(u * p_u + 2.0 * v * p_v)
 

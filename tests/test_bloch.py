@@ -84,7 +84,7 @@ def test_liouvillian_oracle_correlation(dipole_pulse):
 @pytest.mark.parametrize("offset", [-1e-9, 0.0, 1e-9])
 def test_liouvillian_oracle_at_the_exceptional_point(dipole_pulse, offset):
     # at Omega = Gamma/4, Delta = 0 two eigenvalues of M meet and the
-    # eigenvectors go parallel; the propagator must switch to expm there
+    # eigenvectors go parallel, so no eigenbasis may build e^{tA} there
     p = replace(dipole_pulse, detuning=0.0,
                 rabi=0.25 * (1.0 + offset) * dipole_pulse.linewidth)
     for t in [5e-9, 20e-9, 50e-9]:
@@ -142,9 +142,9 @@ def test_bloch_vector_stays_in_ball(rabi, detuning, frac):
 
 
 @pytest.mark.parametrize("rabi_over_gamma, detuning, momentum", [
-    (5.6 / 34.0, TWO_PI * 17e6, 0.0),      # eigenbasis route
+    (5.6 / 34.0, TWO_PI * 17e6, 0.0),      # the pinned dipole pulse
     (5.6 / 34.0, TWO_PI * 17e6, 0.8),      # Doppler-shifted
-    (0.25, 0.0, 0.0),                      # expm route
+    (0.25, 0.0, 0.0),                      # the exceptional point
 ])
 def test_arrays_equal_scalar_calls_bit_for_bit(dipole_pulse, rabi_over_gamma,
                                                detuning, momentum):

@@ -134,14 +134,15 @@ def test_slope_evaluations_per_sensitivity(name, calls, monkeypatch):
     # Newton steps and the slopes at t*.  The scalar march with brentq took
     # 14 to 29 overlap calls.
     count = 0
-    family_slopes = metrology._family_slopes
+    family = type(FAMILIES[name])
+    slopes = family.slopes
 
-    def counted(*args):
+    def counted(self, u, v):
         nonlocal count
         count += 1
-        return family_slopes(*args)
+        return slopes(self, u, v)
 
-    monkeypatch.setattr(metrology, "_family_slopes", counted)
+    monkeypatch.setattr(family, "slopes", counted)
     for eps in np.geomspace(1e-3, 0.3, 25):
         for mode in ("drift-only", "extended"):
             recoil_sensitivity(FAMILIES[name], float(eps), mode=mode)

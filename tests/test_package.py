@@ -75,3 +75,24 @@ def test_importing_the_package_loads_neither_scipy_optimize_nor_sparse():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+_FAMILIES = {"GaussianState", "CatState", "FockSuperposition"}
+
+
+def test_only_phasespace_branches_on_the_state_family():
+    # each family owns its overlap slopes, march step and symmetry, so the
+    # modules built on them use no private phasespace name and ask no
+    # state for its type
+    for name in ("metrology", "doppler", "stateopt"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "phasespace"):
+                for alias in node.names:
+                    assert not alias.name.startswith("_"), (name, alias.name)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "isinstance"):
+                types = {getattr(n, "id", getattr(n, "attr", None))
+                         for n in ast.walk(node.args[1])}
+                assert not types & _FAMILIES, (name, ast.unparse(node))

@@ -10,10 +10,11 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
                         GaussianState, UnsupportedDampingError,
-                        evolve_gaussian, overlap_after, overlap_gaussian,
-                        overlap_slopes, state_nbar, state_qfi)
-from recoilspec.phasespace import (_fock_slopes, _hermite_e_rule,
-                                   _kick_elements, _position_times)
+                        evolve_gaussian, find_working_point, overlap_after,
+                        overlap_gaussian, overlap_slopes, state_nbar,
+                        state_qfi)
+from recoilspec.phasespace import (_hermite_e_rule, _kick_elements,
+                                   _position_times)
 
 SQRT2 = math.sqrt(2.0)
 LN2 = math.log(2.0)
@@ -283,8 +284,8 @@ def _dense_position_times(c: np.ndarray) -> np.ndarray:
 
 
 def _fock_slopes_loop(f: FockSuperposition, u: float, v: float):
-    """`_fock_slopes` with one `_displacement_elements` call per level
-    pair: the loop formulation the broadcast kernel replaced."""
+    """`FockSuperposition.slopes` with one `_displacement_elements` call
+    per level pair: the loop formulation the broadcast kernel replaced."""
     c = np.append(f.coeffs, 0.0)
     vecs = np.array([c, _position_times(c)])
     idx = np.flatnonzero(np.any(vecs != 0.0, axis=0))
@@ -340,7 +341,7 @@ def test_fock_slopes_equal_the_loop_formulation(levels, u, v):
     state = FockSuperposition.from_dict(
         {n: r / norm * complex(math.cos(phi), math.sin(phi))
          for n, (r, phi) in levels.items()})
-    assert _fock_slopes(state, u, v) == _fock_slopes_loop(state, u, v)
+    assert state.slopes(u, v) == _fock_slopes_loop(state, u, v)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["fock64", "dense65"])
@@ -418,6 +419,10 @@ def test_state_validation():
             GaussianState.squeezed(r)
     with pytest.raises(ConfigError):
         FPParams(alpha=1.0, d=-0.1, tbar=1.0)
+    with pytest.raises(ConfigError, match="unsupported state type dict"):
+        overlap_slopes({"beta": 2.0}, FPParams(alpha=1.0, d=0.1, tbar=1.0))
+    with pytest.raises(ConfigError, match="unsupported state type dict"):
+        find_working_point({"beta": 2.0}, 0.1)
     for field in ("alpha", "d", "tbar", "g"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError, match=field):
