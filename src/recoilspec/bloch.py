@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
+from ._expm import expm
 from .errors import ConfigError
 
 _SQRT2 = math.sqrt(2.0)

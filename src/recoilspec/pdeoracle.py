@@ -176,32 +176,28 @@ _STENCILS = {1: (-2.0, (1.0,), (1.0 / 2.0,)),
                  (3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0))}
 
 
-def _pde_operator(p: np.ndarray, fp: FPParams):
-    """Sparse (CSC) finite-difference form of the PDE's right-hand side.
+def _pde_operator(p: np.ndarray, fp: FPParams) -> np.ndarray:
+    """Finite-difference form of the PDE's right-hand side as its seven
+    bands: row 3 + o holds op[i, i + o] for every row i, zero where i + o
+    leaves the grid.
 
     Sixth-order central differences in the interior (heptadiagonal).  Next
     to the (deep-tail) Dirichlet rows 0 and m-1, which stay zero, rows 1 and
     m-2 are second order and rows 2 and m-3 fourth order.
     """
-    # imported here so that importing the package does not load scipy.sparse
-    from scipy.sparse import diags
-
     hp = p[1] - p[0]
     m = len(p)
     cd = 0.5 * fp.d / hp**2
     adv = (fp.alpha + fp.g * p) / hp
-    main = np.zeros(m)
-    upper = [np.zeros(m - j) for j in (1, 2, 3)]
-    lower = [np.zeros(m - j) for j in (1, 2, 3)]
+    bands = np.zeros((7, m))
     for k, rows in ((1, np.array([1, m - 2])), (2, np.array([2, m - 3])),
                     (3, np.arange(3, m - 3))):
         c0, c, b = _STENCILS[k]
-        main[rows] = c0 * cd + fp.g
+        bands[3, rows] = c0 * cd + fp.g
         for j in range(1, k + 1):
-            upper[j - 1][rows] = c[j - 1] * cd + b[j - 1] * adv[rows]
-            lower[j - 1][rows - j] = c[j - 1] * cd - b[j - 1] * adv[rows]
-    return diags(lower[::-1] + [main] + upper, offsets=range(-3, 4),
-                 format="csc")
+            bands[3 + j, rows] = c[j - 1] * cd + b[j - 1] * adv[rows]
+            bands[3 - j, rows] = c[j - 1] * cd - b[j - 1] * adv[rows]
+    return bands
 
 
 def _default_steps(p: np.ndarray, fp: FPParams, osc_k: float) -> int:
@@ -223,29 +219,100 @@ def _default_steps(p: np.ndarray, fp: FPParams, osc_k: float) -> int:
     return n_steps + n_steps % 2
 
 
-def _crank_nicolson(w0: np.ndarray, op, tbar: float,
+# Rows per diagonal block of the partitioned banded solve.
+_BLOCK = 64
+# Rows of a block that couple to its neighbours: the first and last three.
+_EDGES = np.array([0, 1, 2, -3, -2, -1])
+
+
+def _spike_solver(bands: np.ndarray):
+    """x = L^-1 f for the heptadiagonal L with L[i, i + o] = bands[3 + o, i],
+    by the SPIKE partition (E. Polizzi and A. H. Sameh, Parallel Computing
+    32:177, 2006).
+
+    L, padded with identity rows to K blocks of s rows, is D + C with D the
+    block diagonal and C the 3 x 3 corners coupling neighbouring blocks.
+    Then x_j = g_j - Z_j u_j, where g = D^-1 f, Z_j = D_j^-1 C_j are the
+    block's spikes and u_j = (first three rows of x_{j+1}, last three rows
+    of x_{j-1}); the first and last three rows of every block form a
+    reduced system of 6K unknowns, inverted here once.  Returns (solve, K,
+    s), where solve maps f of shape (K, s, r) to x of the same shape.
+    """
+    m = bands.shape[1]
+    s = min(_BLOCK, m)
+    k = -(-m // s)
+    n = k * s
+    # (row, column, value) of every band entry, identity rows past m
+    pad = np.zeros((7, n))
+    pad[:, :m] = bands
+    pad[3, m:] = 1.0
+    row = np.tile(np.arange(n), 7)
+    col = row + np.repeat(np.arange(-3, 4), n)
+    live = (col >= 0) & (col < n) & (pad.ravel() != 0.0)
+    row, col, val = row[live], col[live], pad.ravel()[live]
+    jr, a = np.divmod(row, s)
+    jc, b = np.divmod(col, s)
+    diag = np.zeros((k, s, s))
+    same = jr == jc
+    diag[jr[same], a[same], b[same]] = val[same]
+    # corners, laid out as the columns of the unknowns u_j they multiply:
+    # the next block's first rows, then the previous block's last rows
+    corner = np.zeros((k, s, 6))
+    nxt, prv = jc == jr + 1, jc == jr - 1
+    corner[jr[nxt], a[nxt], b[nxt]] = val[nxt]
+    corner[jr[prv], a[prv], b[prv] - s + 6] = val[prv]
+    # With the drift and diffusion constant in p (g = 0) the interior blocks
+    # are equal: invert each run of equal blocks once.
+    first = np.ones(k, dtype=bool)
+    first[1:] = np.any(diag[1:] != diag[:-1], axis=(1, 2))
+    inv = np.linalg.inv(diag[first])[np.cumsum(first) - 1]
+    spikes = inv @ corner
+    # the reduced system y + Z[edges] u = g[edges] in the edge rows y of x,
+    # where u_j = y[src_j] (row 6k, past the end, reads 0); its inverse's
+    # rows src map g[edges] straight to u
+    src = np.arange(6 * k).reshape(k, 6)
+    src[:, :3] += 6
+    src[:, 3:] -= 6
+    src[-1, :3] = src[0, 3:] = 6 * k
+    reduced = np.zeros((6 * k, 6 * k + 1))
+    reduced[np.arange(6 * k).reshape(k, 6, 1), src[:, None, :]] = \
+        spikes[:, _EDGES]
+    reduced = reduced[:, :-1] + np.eye(6 * k)
+    to_u = np.vstack((np.linalg.inv(reduced), np.zeros(6 * k)))[src.ravel()]
+
+    def solve(f):
+        g = inv @ f
+        u = to_u @ g[:, _EDGES].reshape(6 * k, -1)
+        return g - spikes @ u.reshape(k, 6, -1)
+
+    return solve, k, s
+
+
+def _crank_nicolson(w0: np.ndarray, op: np.ndarray, tbar: float,
                     n_steps: int) -> np.ndarray:
     """Plain Crank-Nicolson for dW/dtbar = op W: n_steps steps to `tbar`.
 
-    Each row of `w0` is a function of p on the grid of the sparse operator
-    `op`; all rows are propagated together and returned in the same layout.
+    Each row of `w0` is a function of p on the grid of the banded operator
+    `op` (see `_pde_operator`); all rows are propagated together and
+    returned in the same layout.
     """
-    from scipy.sparse import identity
-    from scipy.sparse.linalg import splu
-
     dt = tbar / n_steps
     # With L = I - dt/2 op the step L w' = (I + dt/2 op) w = (2I - L) w
-    # reads w' = 2 L^-1 w - w: one solve and no matrix product per step.
-    # L is banded: in the natural column order its LU factors stay banded,
-    # and the factorization is cheaper than with a fill-reducing order.
-    lhs = splu(identity(op.shape[0], format="csc") - 0.5 * dt * op,
-               permc_spec="NATURAL")
-    w = np.asfortranarray(w0.T)  # shape (np_, rows): solve all rows at once
+    # reads w' = (L/2)^-1 w - w: one solve and no matrix product per step.
+    # Halving is exact, so (L/2)^-1 w has the bits of 2 L^-1 w.
+    half = -0.25 * dt * op
+    half[3] += 0.5
+    solve, k, s = _spike_solver(half)
+    m, rows = op.shape[1], w0.shape[0]
+    flat = np.zeros((k * s, rows))
+    flat[:m] = w0.T
+    w = flat.reshape(k, s, rows)
     for _ in range(n_steps):
-        w = 2.0 * lhs.solve(w) - w
-        w[0, :] = 0.0
-        w[-1, :] = 0.0
-    return w.T
+        np.subtract(solve(w), w, out=w)
+        # the Dirichlet edge rows, and the padding past them, stay zero
+        flat[0] = 0.0
+        flat[m - 1:] = 0.0
+    return flat[:m].T
 
 
 def propagate(w0: np.ndarray, p: np.ndarray, fp: FPParams,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
+from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import ConfigError, UnsupportedDampingError
 
@@ -214,7 +214,7 @@ class CatState:
 class FockSuperposition:
     """Finite superposition sum_n c_n |n>, truncated at n_max <= 64."""
 
-    __slots__ = ("coeffs", "_levels", "_vecs")
+    __slots__ = ("coeffs", "_levels", "_vecs", "_tables")
 
     MAX_N = 64
 
@@ -233,6 +233,7 @@ class FockSuperposition:
         vecs = np.array([c, _position_times(c)])
         self._levels = np.flatnonzero(np.any(vecs != 0.0, axis=0))
         self._vecs = vecs[:, self._levels]
+        self._tables = _level_tables(tuple(self._levels.tolist()))
 
     @classmethod
     def from_dict(cls, entries: dict[int, complex]) -> "FockSuperposition":
@@ -296,7 +297,8 @@ class FockSuperposition:
         # g[..., i, j] = vecs_i^dag D vecs_j, with vecs = (c, x c)
         g = np.concatenate([
             np.einsum("ia,kab,jb->kij", np.conj(vecs),
-                      _kick_elements(idx, z[r:r + rows].ravel()), vecs)
+                      _kick_elements(self._tables, z[r:r + rows].ravel()),
+                      vecs)
             for r in range(0, len(z), rows)]).reshape(*z.shape, 2, 2)
         g0, g1, g2 = g[..., 0, 0], 1j * g[..., 1, 0], -g[..., 1, 1]
         f0 = np.abs(g0) ** 2
@@ -369,31 +371,70 @@ def overlap_gaussian(a: GaussianState, b: GaussianState) -> float:
     return float(det**-0.5 * math.exp(-0.5 * dm @ np.linalg.solve(sigma, dm)))
 
 
-def _kick_elements(idx: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """<m| e^{i z x} |n> for every node z and pair m, n of the levels idx.
+# log n! for every level a Fock state and its x c can reach, and i^k
+_LOG_FACTORIAL = np.array([math.lgamma(n + 1.0)
+                           for n in range(FockSuperposition.MAX_N + 2)])
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
+
+
+@lru_cache(maxsize=64)
+def _level_tables(levels: tuple[int, ...]):
+    """What `_kick_elements` needs of the level pairs m, n, built once per
+    level set: the distinct k = |m - n|, the recurrence terms for them, and
+    for each pair lo = min(m, n), the index of its k and its factor."""
+    idx = np.array(levels)
+    lo = np.minimum.outer(idx, idx)
+    k = np.abs(np.subtract.outer(idx, idx))
+    ks = np.array(sorted(set(k.ravel().tolist())))
+    k_at = np.searchsorted(ks, k)
+    # (n + 1) L_{n+1} = (2n + 1 + k - x) L_n - (n + k) L_{n-1} becomes
+    # Q_{n+1} = r_n Q_n - Q_{n-1} for L_n = s_n Q_n with s_0 = s_1 = 1 and
+    # s_{n+1} = s_{n-1} (n + k) / (n + 1)
+    top = int(lo.max())
+    scale = np.ones((top + 1, len(ks)))
+    for n in range(1, top):
+        scale[n + 1] = scale[n - 1] * (n + ks) / (n + 1)
+    n = np.arange(top)[:, None]
+    r_x = -scale[:-1] / ((n + 1) * scale[1:])    # r_n = r_one + r_x x
+    r_one = -(2 * n + 1 + ks) * r_x
+    factor = (np.exp(0.5 * (_LOG_FACTORIAL[lo] - _LOG_FACTORIAL[lo + k]))
+              * _I_POWERS[k % 4] * scale[lo, k_at])
+    return (ks.astype(float), r_one[:, None], r_x[:, None], lo, k_at,
+            factor)
+
+
+def _kick_elements(tables, z: np.ndarray) -> np.ndarray:
+    """<m| e^{i z x} |n> for every node z and pair m, n of a level set, from
+    its `_level_tables`; shape (nodes, levels, levels).
 
     e^{i z x} = D(lam) with lam = i z / sqrt2 imaginary, so -conj(lam) = lam
     and both orderings share, with lo = min(m, n) and k = |m - n|,
-    sqrt(lo! / (lo + k)!) e^{-|lam|^2/2} lam^k L_lo^(k)(|lam|^2).
+    sqrt(lo! / (lo + k)!) e^{-|lam|^2/2} lam^k L_lo^(k)(|lam|^2).  With
+    a = z / sqrt2, the products e^{-a^2/2} a^k L_n^(k)(a^2) come from the
+    upward three-term recurrence in n, for every k at once.
     """
-    lam = (1j * z / _SQRT2)[:, None, None]
-    lo = np.minimum.outer(idx, idx)
-    k = np.abs(np.subtract.outer(idx, idx))
-    a2 = np.abs(lam) ** 2
+    ks, r_one, r_x, lo, k_at, factor = tables
+    a = z / _SQRT2
+    x = (a * a)[:, None]
+    q = np.empty((len(r_one) + 1, len(z), len(ks)))
     with np.errstate(invalid="ignore", over="ignore"):
-        lnf = 0.5 * (gammaln(lo + 1) - gammaln(lo + k + 1))
-        dmat = (np.exp(lnf - 0.5 * a2) * lam ** k
-                * eval_genlaguerre(lo, k, a2))
+        np.multiply(np.exp(-0.5 * x), a[:, None] ** ks, out=q[0])
+        r = r_one + r_x * x
+        for n in range(len(r)):
+            np.multiply(r[n], q[n], out=q[n + 1])
+            if n:
+                q[n + 1] -= q[n - 1]
+    dmat = q[lo, :, k_at].transpose(2, 0, 1)
     # NaN only where the envelope underflowed against an overflowing
-    # Laguerre polynomial: the element is 0 there
+    # power or polynomial: the element is 0 there
     dmat[np.isnan(dmat)] = 0.0
-    return dmat
+    return dmat * factor
 
 
 @lru_cache(maxsize=16)
 def _hermite_e_rule(n: int):
     """Probabilists' Gauss-Hermite nodes and weights normalised to N(0, 1)."""
-    z, w = np.polynomial.hermite_e.hermegauss(n)
+    z, w = hermegauss(n)
     return z, w / math.sqrt(2.0 * math.pi)
 
 

@@ -8,9 +8,9 @@ trap-frequency weights phi = (sin nu t, cos nu t) obey phi' = [[0, nu],
 [-nu, 0]] phi, so products of phi with the Bloch vector and the integrals of
 those products solve one larger linear system.  The Doppler damping rate g
 is the exact detuning derivative of the momentum drift, a Frechet derivative
-of the single-integral exponential (Al-Mohy & Higham, SIAM J. Matrix Anal.
-Appl. 30:1639, 2009); the detuning slope of the diffusion is the same kind
-of derivative of the double-integral exponential.
+of the single-integral exponential; the detuning slope of the diffusion is
+the same kind of derivative of the double-integral exponential.  Both come
+from `_expm.expm_frechet`, a block of the exponential of the doubled block.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
 
+from ._expm import expm, expm_frechet
 from .bloch import _REGRESS, _Z0, PulseParams, affine_generator
 from .errors import ConvergenceError
 
@@ -72,6 +72,13 @@ class DriftDiffusion:
         }
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron for 2-D arrays, with the same products and a fraction of its
+    call overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _scaled_generators(p: PulseParams):
     """tau A for the affine Bloch generator A, and tau times phi's generator."""
     a = affine_generator(p)
@@ -83,23 +90,29 @@ def _scaled_generators(p: PulseParams):
     return a, phi
 
 
-def _single_integrals(p: PulseParams):
-    """(I_sin, I_cos, I_one) and their detuning derivatives, where
-    I_f = int_0^tau f(nu t) <sy(t)> dt and I_one = int_0^tau <sy(t)> dt.
+def _single_block(p: PulseParams):
+    """The 15x15 block whose exponential holds the single integrals, and its
+    detuning derivative times the pulse length.
 
-    State (I[3], phi (x) s~[8], s~[4]) with s~ = (s, 1): one 15x15 block.
+    State (I[3], phi (x) s~[8], s~[4]) with s~ = (s, 1).
     """
     a, phi = _scaled_generators(p)
     b = np.zeros((15, 15))
-    b[3:11, 3:11] = np.kron(phi, _I4) + np.kron(_I2, a)
+    b[3:11, 3:11] = _kron(phi, _I4) + _kron(_I2, a)
     b[11:, 11:] = a
     b[0, 3 + _Y] = b[1, 7 + _Y] = b[2, 11 + _Y] = p.pulse_duration
     db = np.zeros((15, 15))
-    db[3:11, 3:11] = np.kron(_I2, _DA)
+    db[3:11, 3:11] = _kron(_I2, _DA)
     db[11:, 11:] = _DA
+    return b, db * p.pulse_duration
+
+
+def _single_integrals(p: PulseParams):
+    """(I_sin, I_cos, I_one) and their detuning derivatives, where
+    I_f = int_0^tau f(nu t) <sy(t)> dt and I_one = int_0^tau <sy(t)> dt."""
     x0 = np.concatenate((np.zeros(7), _Z0, _Z0))      # phi(0) = (0, 1)
     with np.errstate(all="ignore"):
-        big, dbig = expm_frechet(b, db * p.pulse_duration, check_finite=False)
+        big, dbig = expm_frechet(*_single_block(p))
     return big[:3] @ x0, dbig[:3] @ x0
 
 
@@ -111,11 +124,11 @@ def _double_block(p: PulseParams):
     integral.
     """
     a, phi = _scaled_generators(p)
-    step = np.kron(_I2, np.kron(phi, _I4)) + np.kron(_I4, a)
+    step = _kron(_I2, _kron(phi, _I4)) + _kron(_I4, a)
     b = np.zeros((36, 36))
     b[4:20, 4:20] = step
-    b[4:20, 20:] = np.kron(_I4, p.pulse_duration * _REGRESS)
-    b[20:, 20:] = step + np.kron(phi, np.eye(8))
+    b[4:20, 20:] = _kron(_I4, p.pulse_duration * _REGRESS)
+    b[20:, 20:] = step + _kron(phi, np.eye(8))
     for f, g in np.ndindex(2, 2):
         b[2 * f + g, 4 + 8 * g + 4 * f + _Y] = p.pulse_duration
     return b
@@ -140,9 +153,9 @@ def coefficients_with_slopes(
     """
     single = _single_integrals(p)
     db = np.zeros((36, 36))
-    db[4:20, 4:20] = db[20:, 20:] = np.kron(_I4, _DA * p.pulse_duration)
+    db[4:20, 4:20] = db[20:, 20:] = _kron(_I4, _DA * p.pulse_duration)
     with np.errstate(all="ignore"):
-        big, dbig = expm_frechet(_double_block(p), db, check_finite=False)
+        big, dbig = expm_frechet(_double_block(p), db)
     coeffs = _assemble(p, single, big[:4, 32:] @ _Z0)
     (_, i_cos, _), (_, di_cos, _) = single
     # D_pp = (eta Omega)^2 J_cc - alpha_p^2, and d J_cc / d Delta is the

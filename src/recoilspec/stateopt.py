@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .bloch import PulseParams
 from .errors import (ConfigError, ConvergenceError, NoCrossingError,
@@ -174,7 +175,7 @@ def optimize_fock_superposition(prob: OptimizationProblem,
         return OptimizationResult(coeffs=c, s_abs=s, nbar_used=nbar,
                                   constraint_slack=prob.nbar_max - nbar,
                                   n_converged=1)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     ns = np.asarray(prob.basis, dtype=float)
     penalty_w = 1e3
 
@@ -224,8 +225,12 @@ def single_photon_budget(pulse: PulseParams, p0: float = 0.5,
     tstar = 1.0 / coeffs.n1
     u, v = coeffs.alpha_p * tstar, coeffs.d_pp * tstar
 
-    def gap(r):   # momentum-squeezed vacuum
-        p, p_u, p_v = GaussianState.squeezed(r).slopes(u, v)
+    GaussianState.squeezed(r_max)        # ConfigError if e^{2 r_max} overflows
+    origin = np.zeros(2)
+
+    def gap(r):   # momentum-squeezed vacuum, r in [0, r_max]: valid
+        cov = 0.5 * np.diag([math.exp(2 * r), math.exp(-2 * r)])
+        p, p_u, p_v = GaussianState._unchecked(origin, cov).slopes(u, v)
         # P depends on r only through u e^r and v e^{2r}
         return float(p) - p0, float(u * p_u + 2.0 * v * p_v)
 

@@ -251,6 +251,12 @@ def _assert_exit_contract(code, out, err):
 @given(command=st.sampled_from(["coeffs", "budget", "shift"]),
        key=st.sampled_from(sorted(cli.DEFAULT_CONFIG["pulse"])),
        value=_EDGE)
+# pulse blocks whose 1-norm needs more than 52 squarings, and one whose
+# scaled generator overflows
+@example(command="coeffs", key="linewidth_hz", value=1e300)
+@example(command="shift", key="linewidth_hz", value=1e300)
+@example(command="coeffs", key="pulse_duration_s", value=1e300)
+@example(command="shift", key="pulse_duration_s", value=1e300)
 def test_pulse_edge_values_keep_the_exit_contract(command, key, value):
     _assert_exit_contract(*_run_in_process(
         [command, "--set", f"pulse.{key}={json.dumps(value)}"]))

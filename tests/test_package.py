@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import recoilspec
 import recoilspec.bloch
 
@@ -36,45 +38,58 @@ def _imported_modules(nodes):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-def _import_time_nodes(node):
-    """The nodes run when the module is imported: all but function bodies."""
-    for child in ast.iter_child_nodes(node):
-        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-            yield child
-            yield from _import_time_nodes(child)
-
-
-def _within(name, package):
-    return name == package or name.startswith(package + ".")
-
-
-def test_no_module_imports_scipy_optimize_or_scipy_sparse_at_import():
-    # root finding and the probe-state optimizer are the package's own;
-    # scipy.sparse serves the PDE oracle alone and is imported inside it
+def test_no_module_imports_scipy():
+    # the package's dense kernels (expm, its Frechet derivative, the
+    # Laguerre elements, the banded solve) and its root finding and
+    # optimizer are its own; scipy serves the tests as an oracle
     modules = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "pdeoracle.py" in modules
     for path in modules:
         text = path.read_text()
         assert "brentq" not in text, path.name
-        tree = ast.parse(text)
-        for name in _imported_modules(ast.walk(tree)):
-            assert not _within(name, "scipy.optimize"), (path.name, name)
-        for name in _imported_modules(_import_time_nodes(tree)):
-            assert not _within(name, "scipy.sparse"), (path.name, name)
+        for name in _imported_modules(ast.walk(ast.parse(text))):
+            assert name.split(".")[0] != "scipy", (path.name, name)
 
 
-def test_importing_the_package_loads_neither_scipy_optimize_nor_sparse():
-    code = ("import sys, recoilspec, recoilspec.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'optimize'], "
-            "['scipy', 'sparse'])))")
+def _run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_importing_the_package_loads_no_scipy():
+    proc = _run_python("-c", "import sys, recoilspec, recoilspec.cli; "
+                       "print(sorted(m for m in sys.modules "
+                       "if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# Runs the CLI with every scipy import refused, as if scipy were not
+# installed.
+_NO_SCIPY = """
+import sys
+from importlib.abc import MetaPathFinder
+
+class RefuseScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from recoilspec.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["oracle-check", "shift"])
+def test_cli_runs_without_scipy(command):
+    proc = _run_python("-c", _NO_SCIPY, command)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 _FAMILIES = {"GaussianState", "CatState", "FockSuperposition"}

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import identity
+from scipy.sparse import diags, identity
 from scipy.sparse.linalg import splu
 
 from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
@@ -131,10 +131,18 @@ def test_low_rank_batch_matches_full_column_propagation(state, min_rank):
                                                           abs=1e-12)
 
 
+def _sparse_operator(p, fp):
+    """`_pde_operator` as a scipy sparse matrix, from its seven bands."""
+    bands = _pde_operator(p, fp)
+    m = len(p)
+    return diags([bands[3 + o, max(-o, 0):m - max(o, 0)]
+                  for o in range(-3, 4)], range(-3, 4), format="csc")
+
+
 def _propagate_with_explicit_rhs(w0, p, fp, n_steps):
     """The Crank-Nicolson loop with (I + dt/2 op) built and applied."""
     dt = fp.tbar / n_steps
-    op = _pde_operator(p, fp)
+    op = _sparse_operator(p, fp)
     ident = identity(len(p), format="csc")
     lhs = splu(ident - 0.5 * dt * op)
     rhs = (ident + 0.5 * dt * op).tocsr()
@@ -162,6 +170,41 @@ def test_step_equals_the_explicit_right_hand_side(state, alpha, d):
             - _propagate_with_explicit_rhs(v, p, fp, n_steps=100)) / 3.0
     assert np.max(np.abs(got)) > 1e-2
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _splu_crank_nicolson(w0, p, fp, n_steps):
+    """`_crank_nicolson` with the step w' = 2 L^-1 w - w solved by SuperLU,
+    the solver the banded SPIKE solve replaced."""
+    dt = fp.tbar / n_steps
+    lhs = splu(identity(len(p), format="csc")
+               - 0.5 * dt * _sparse_operator(p, fp), permc_spec="NATURAL")
+    w = w0.T.copy()
+    for _ in range(n_steps):
+        w = 2.0 * lhs.solve(w) - w
+        w[0, :] = 0.0
+        w[-1, :] = 0.0
+    return w.T
+
+
+@pytest.mark.parametrize("state, fp", [
+    (CatState(2.0), FPParams(alpha=1.1, d=0.3, tbar=1.0)),
+    (FockSuperposition.fock(2), FPParams(alpha=0.9, d=0.1, tbar=1.0)),
+    (GaussianState.squeezed(0.7), FPParams(alpha=0.3, d=0.1, tbar=1.0,
+                                           g=0.05)),
+], ids=["cat", "fock2", "damped"])
+def test_banded_solve_matches_superlu(state, fp):
+    """The partitioned solve gives SuperLU's Crank-Nicolson run on the
+    default grids (1645, 477 and 313 rows; the cat's spans 26 blocks, and
+    the damped grid's blocks all differ)."""
+    x, p = default_grid(state, fp).axes()
+    u, s, v = np.linalg.svd(initial_wigner(state, x, p), full_matrices=False)
+    v = v[s > 1e-13 * s[0]]
+    n = 60
+    got = _crank_nicolson(v, _pde_operator(p, fp), fp.tbar, n)
+    want = _splu_crank_nicolson(v, p, fp, n)
+    assert np.max(np.abs(want)) > 1e-2
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-11 * np.max(np.abs(want)))
 
 
 def test_check_sees_both_runs_before_they_are_combined():
@@ -292,7 +335,7 @@ def test_stencil_is_sixth_order(alpha, d, g):
         df = -z / 0.9 * f
         d2f = (z**2 - 1.0) / 0.81 * f
         want = alpha * df + 0.5 * d * d2f + g * (f + p * df)
-        got = _pde_operator(p, fp) @ f
+        got = _sparse_operator(p, fp) @ f
         errors.append(np.max(np.abs(got - want)[3:-3]))
     assert errors[0] / errors[1] == pytest.approx(64.0, rel=0.1)
 
