@@ -97,9 +97,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
@@ -197,8 +197,11 @@ def write_table(out, fmt: str, cfg: dict, command: str,
     if out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out}: {exc}") from exc
     return text
 
 
@@ -403,18 +406,18 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.set)
         cols, rows = COMMANDS[args.command](cfg, args.seed)
+        for i, row in enumerate(rows):
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in row):
+                raise ConvergenceError(
+                    f"{args.command} row {i} is not finite: {row}")
+        write_table(args.out, args.format, cfg, args.command, cols, rows)
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
     except RecoilSpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    for i, row in enumerate(rows):
-        if any(isinstance(v, float) and not math.isfinite(v) for v in row):
-            print(f"convergence failure: {args.command} row {i} is not "
-                  f"finite: {row}", file=sys.stderr)
-            return 3
-    write_table(args.out, args.format, cfg, args.command, cols, rows)
     return 0
 
 

@@ -63,23 +63,30 @@ class GridSpec:
 
 
 def wigner_gaussian(s: GaussianState, x, p):
-    xx, pp = np.meshgrid(x, p, indexing="ij")
-    dv = np.stack([xx - s.mean[0], pp - s.mean[1]], axis=-1)
+    """The Gaussian exp(-dv^T cov^-1 dv / 2) / (2 pi sqrt(det cov)), its
+    quadratic form built in place by broadcasting the column x - mean_x
+    against the row p - mean_p."""
     inv = np.linalg.inv(s.cov)
-    quad = np.einsum("...i,ij,...j->...", dv, inv, dv)
-    norm = 1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(s.cov)))
-    return norm * np.exp(-0.5 * quad)
+    dx = (x - s.mean[0])[:, None]
+    dp = p - s.mean[1]
+    quad = (inv[0, 1] + inv[1, 0]) * dp + inv[0, 0] * dx
+    quad *= dx
+    quad += inv[1, 1] * dp**2
+    quad *= -0.5
+    np.exp(quad, out=quad)
+    quad *= 1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(s.cov)))
+    return quad
 
 
 def wigner_cat(c: CatState, x, p):
-    """Two outer products of 1-D factors: the two lobes share e^{-p^2}, and
-    the fringe term is e^{-x^2} times e^{-p^2} cos(2 s p)."""
+    """One (nx x 2) @ (2 x np) product of 1-D factors: the two lobes share
+    e^{-p^2}, and the fringe term is e^{-x^2} times e^{-p^2} cos(2 s p)."""
     s = math.sqrt(2.0) * c.beta
     gp = np.exp(-p**2)
-    lobes = np.exp(-(x - s) ** 2) + np.exp(-(x + s) ** 2)
-    fringe = 2.0 * np.exp(-x**2)
-    return (c.normalization**2 / math.pi) * (
-        np.outer(lobes, gp) + np.outer(fringe, gp * np.cos(2.0 * s * p)))
+    scale = c.normalization**2 / math.pi
+    xs = np.stack((scale * (np.exp(-(x - s) ** 2) + np.exp(-(x + s) ** 2)),
+                   2.0 * scale * np.exp(-x**2)), axis=1)
+    return xs @ np.stack((gp, gp * np.cos(2.0 * s * p)))
 
 
 def _fock_wavefunction(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -98,14 +105,25 @@ def _fock_wavefunction(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def wigner_fock(f: FockSuperposition, x, p, ny: int = 512,
                 y_half: float = 6.0):
-    """W(x, p) = (1/pi) int dy psi(x+y) conj(psi(x-y)) e^{-2ipy}."""
+    """W(x, p) = (1/pi) int dy h(x, y) e^{-2ipy}, h = psi(x+y) conj(psi(x-y)).
+
+    h(x, -y) = conj h(x, y), so the sum over the symmetric y grid is twice
+    the real sum over its y > 0 half, Re h cos(2py) + Im h sin(2py), with
+    the y = 0 node of an odd grid counted once.
+    """
     y = np.linspace(-y_half, y_half, ny)
-    dy = y[1] - y[0]
-    psi_plus = _fock_wavefunction(f.coeffs, x[:, None] + y[None, :])
-    psi_minus = _fock_wavefunction(f.coeffs, x[:, None] - y[None, :])
-    kernel = np.exp(-2j * np.outer(y, p))
-    w = (psi_plus * np.conj(psi_minus)) @ kernel * (dy / math.pi)
-    return np.real(w)
+    weight = np.full(ny - ny // 2, 2.0 * (y[1] - y[0]) / math.pi)
+    if ny % 2:
+        weight[0] *= 0.5
+    y = y[ny // 2:]
+    h = _fock_wavefunction(f.coeffs, x[:, None] + y)
+    h *= np.conj(_fock_wavefunction(f.coeffs, x[:, None] - y))
+    h *= weight
+    arg = np.multiply.outer(2.0 * y, p)
+    w = h.real @ np.cos(arg)
+    np.sin(arg, out=arg)
+    w += h.imag @ arg
+    return w
 
 
 def initial_wigner(state: MotionalState, x, p):
@@ -241,32 +259,33 @@ def _spike_solver(bands: np.ndarray):
     m = bands.shape[1]
     s = min(_BLOCK, m)
     k = -(-m // s)
-    n = k * s
-    # (row, column, value) of every band entry, identity rows past m
-    pad = np.zeros((7, n))
-    pad[:, :m] = bands
-    pad[3, m:] = 1.0
-    row = np.tile(np.arange(n), 7)
-    col = row + np.repeat(np.arange(-3, 4), n)
-    live = (col >= 0) & (col < n) & (pad.ravel() != 0.0)
-    row, col, val = row[live], col[live], pad.ravel()[live]
-    jr, a = np.divmod(row, s)
-    jc, b = np.divmod(col, s)
-    diag = np.zeros((k, s, s))
-    same = jr == jc
-    diag[jr[same], a[same], b[same]] = val[same]
-    # corners, laid out as the columns of the unknowns u_j they multiply:
-    # the next block's first rows, then the previous block's last rows
-    corner = np.zeros((k, s, 6))
-    nxt, prv = jc == jr + 1, jc == jr - 1
-    corner[jr[nxt], a[nxt], b[nxt]] = val[nxt]
-    corner[jr[prv], a[prv], b[prv] - s + 6] = val[prv]
+    # the band columns of each block's rows, identity rows past m
+    cols = np.zeros((7, k * s))
+    cols[:, :m] = bands
+    cols[3, m:] = 1.0
+    cols = cols.reshape(7, k, s).transpose(1, 0, 2)
     # With the drift and diffusion constant in p (g = 0) the interior blocks
-    # are equal: invert each run of equal blocks once.
+    # are equal; a block's rows, and so its diagonal block and corners, are
+    # set by its band columns.  Build, invert and spike each run once.
     first = np.ones(k, dtype=bool)
-    first[1:] = np.any(diag[1:] != diag[:-1], axis=(1, 2))
-    inv = np.linalg.inv(diag[first])[np.cumsum(first) - 1]
-    spikes = inv @ corner
+    first[1:] = np.any(cols[1:] != cols[:-1], axis=(1, 2))
+    run = np.cumsum(first) - 1
+    cols = cols[first].reshape(-1, 7 * s)
+    # band entry (o, a) of a block sits in row a, column a + o - 3 of the
+    # block, or, outside it, in a corner laid out as the columns of the
+    # unknowns u_j it multiplies: the next block's first rows, then the
+    # previous block's last rows
+    o, a = np.divmod(np.arange(7 * s), s)
+    b = a + o - 3
+    inside = (b >= 0) & (b < s)
+    diag = np.zeros((len(cols), s * s))
+    diag[:, (a * s + b)[inside]] = cols[:, inside]
+    corner = np.zeros((len(cols), s * 6))
+    corner[:, (a * 6 + np.where(b < 0, b + 6, b - s))[~inside]] = \
+        cols[:, ~inside]
+    inv = np.linalg.inv(diag.reshape(-1, s, s))
+    spikes = (inv @ corner.reshape(-1, s, 6))[run]
+    inv = inv[run]
     # the reduced system y + Z[edges] u = g[edges] in the edge rows y of x,
     # where u_j = y[src_j] (row 6k, past the end, reads 0); its inverse's
     # rows src map g[edges] straight to u
@@ -388,13 +407,16 @@ def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
         raise GridUnderflowError(
             f"initial Wigner mass {mass:.8f} is not within {mass_tol:g} of 1;"
             " enlarge or refine the grid")
-    # W0 is short and wide (nx << np_): with W0^T = Q R, the SVD of the
-    # small factor R^T = U S Vr gives W0 = U S (Vr Q^T).
-    q, r = np.linalg.qr(w0.T)
-    u, s, vr = np.linalg.svd(r.T, full_matrices=False)
+    # W0 is short and wide (nx << np_): with W0^T = Q R and the SVD
+    # R^T = U S Vr of the small factor, W0 = U S V with V = Vr Q^T =
+    # S^-1 U^T W0 over the kept rank, so Q is never formed.
+    u, s, _ = np.linalg.svd(np.linalg.qr(w0.T, mode="r").T,
+                            full_matrices=False)
     rank = int(np.count_nonzero(s > _SVD_RTOL * s[0]))
-    us = u[:, :rank] * s[:rank]
-    v = vr[:rank] @ q.T
+    u, s = u[:, :rank], s[:rank]
+    v = (u.T @ w0) / s[:, None]
+    del w0
+    us = u * s
     gram_x = us.T @ (wx[:, None] * us)
     mass_x = wx @ us
     osc_k = _osc_wavenumber(state)

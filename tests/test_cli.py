@@ -209,6 +209,26 @@ def test_non_finite_config_file_value_exits_2(tmp_path):
     assert "pulse.rabi_hz" in proc.stderr
 
 
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b"{} \xff")
+    assert cli.main(["coeffs", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot read config" in captured.err and str(cfg) in captured.err
+
+
+@pytest.mark.parametrize("out", ["", "missing/out.csv"],
+                         ids=["directory", "missing-directory"])
+def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, out):
+    path = str(tmp_path / out)
+    assert cli.main(["coeffs", "--set", "coeffs.points=2",
+                     "--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write output {path}" in captured.err
+
+
 def test_help_lists_every_command():
     proc = run_cli("--help", check=True)
     assert len(cli.COMMANDS) == 7
