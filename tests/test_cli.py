@@ -13,9 +13,15 @@ from hypothesis import example, given, settings, strategies as st
 from recoilspec import cli
 
 
+# A CLI run takes a second or two; a child that outlives this limit fails
+# its test instead of stalling the suite.
+CLI_TIMEOUT_S = 120
+
+
 def run_cli(*args, check=False):
     proc = subprocess.run([sys.executable, "-m", "recoilspec.cli", *args],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         stdin=subprocess.DEVNULL, timeout=CLI_TIMEOUT_S)
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
@@ -193,7 +199,8 @@ def test_log_grid_up_to_the_largest_float_is_quiet():
          "--set", "sensitivity.allow_large_epsilon=true",
          "--set", "sensitivity.points=3",
          "--set", 'sensitivity.states=["vacuum"]', "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, stdin=subprocess.DEVNULL,
+        timeout=CLI_TIMEOUT_S)
     assert (proc.returncode, proc.stderr) == (0, "")
     last = json.loads(proc.stdout)["rows"][-1]
     assert last[0] == eps_max
@@ -209,24 +216,25 @@ def test_non_finite_config_file_value_exits_2(tmp_path):
     assert "pulse.rabi_hz" in proc.stderr
 
 
-def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+def test_config_file_that_is_not_utf8_exits_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_bytes(b"{} \xff")
-    assert cli.main(["coeffs", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "cannot read config" in captured.err and str(cfg) in captured.err
+    proc = run_cli("coeffs", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "cannot read config" in proc.stderr and str(cfg) in proc.stderr
 
 
 @pytest.mark.parametrize("out", ["", "missing/out.csv"],
                          ids=["directory", "missing-directory"])
-def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, out):
+def test_unwritable_output_path_exits_2_naming_it(tmp_path, out):
     path = str(tmp_path / out)
-    assert cli.main(["coeffs", "--set", "coeffs.points=2",
-                     "--out", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"cannot write output {path}" in captured.err
+    proc = run_cli("coeffs", "--set", "coeffs.points=2", "--out", path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"cannot write output {path}" in proc.stderr
 
 
 def test_help_lists_every_command():

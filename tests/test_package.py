@@ -56,7 +56,8 @@ def _run_python(*args):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          stdin=subprocess.DEVNULL, timeout=120)
 
 
 def test_importing_the_package_loads_no_scipy():
