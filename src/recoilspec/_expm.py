@@ -1,11 +1,13 @@
-"""Matrix exponential and its Frechet derivative, for real matrices.
+"""Matrix exponential and its Frechet derivative, for real or complex
+matrices and stacks of them.
 
 Pade scaling and squaring (N. J. Higham, SIAM J. Matrix Anal. Appl.
 26:1179, 2005): the Pade degree m in (3, 5, 7, 9, 13) is the lowest whose
 bound theta_m holds the 1-norm of A; beyond theta_13, A is scaled by 2^-s
 into it and the degree-13 approximant is squared s times.  A stack of
 matrices is grouped by each matrix's own (m, s), so every matrix of a batch
-takes the arithmetic of a single call, bit for bit.
+takes the arithmetic of a single call, bit for bit.  The theta_m bounds
+hold for complex matrices too, and the scaling is by the exact power 2^-s.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def _pade(a: np.ndarray, m: int, s: int) -> np.ndarray:
     """r_m(2^-s A)^(2^s) for a stack a of n x n matrices."""
     b = _PADE[m]
     eye = np.eye(a.shape[-1])
-    a = np.ldexp(a, -s)
+    a = a * 2.0 ** -s                     # exact; np.ldexp rejects complex
     a2 = a @ a
     if m == 13:
         a4 = a2 @ a2
@@ -57,7 +59,14 @@ def _pade(a: np.ndarray, m: int, s: int) -> np.ndarray:
             powers.append(powers[-1] @ a2)
         u = a @ sum(b[2 * k + 1] * x for k, x in enumerate(powers))
         v = sum(b[2 * k] * x for k, x in enumerate(powers))
-    r = np.linalg.solve(v - u, v + u)
+    if np.iscomplexobj(a):
+        # I + 2 (V - U)^-1 U: the identity enters exactly, so where a row
+        # and column of U vanish (the zero rows of a Van Loan block) the
+        # diagonal stays exactly 1 through the squarings instead of gaining
+        # 2^s roundings; real input, the Bloch propagator's, keeps its form
+        r = eye + 2.0 * np.linalg.solve(v - u, u)
+    else:
+        r = np.linalg.solve(v - u, v + u)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
             r = r @ r
@@ -65,13 +74,15 @@ def _pade(a: np.ndarray, m: int, s: int) -> np.ndarray:
 
 
 def expm(a) -> np.ndarray:
-    """e^A for a real n x n matrix or a stack (..., n, n) of them.
+    """e^A for a real or complex n x n matrix or a stack (..., n, n) of
+    them; real input gives a real result.
 
     A matrix with a non-finite entry, or a 1-norm that needs more than
     _MAX_SQUARINGS squarings, gives a matrix of NaN, and one whose
     exponential overflows gives inf or NaN entries; none raises.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(a)
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     stack = a.reshape(-1, *a.shape[-2:])
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)
@@ -87,13 +98,15 @@ def expm(a) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def expm_frechet(a: np.ndarray, e: np.ndarray):
+def expm_frechet(a, e):
     """(e^A, L(A, E)), where L(A, E) is the Frechet derivative of e^A along
     E: the upper blocks of the exponential of [[A, E], [0, A]] (C. F. Van
-    Loan, IEEE TAC 23:395, 1978)."""
+    Loan, IEEE TAC 23:395, 1978).  A and E broadcast, so a stack of
+    matrices and directions takes one `expm` call."""
+    a, e = np.broadcast_arrays(a, e)
     n = a.shape[-1]
-    big = np.zeros((2 * n, 2 * n))
-    big[:n, :n] = big[n:, n:] = a
-    big[:n, n:] = e
+    big = np.zeros(a.shape[:-2] + (2 * n, 2 * n), np.result_type(a, e, 0.0))
+    big[..., :n, :n] = big[..., n:, n:] = a
+    big[..., :n, n:] = e
     big = expm(big)
-    return big[:n, :n], big[:n, n:]
+    return big[..., :n, :n], big[..., :n, n:]

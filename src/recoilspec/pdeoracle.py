@@ -109,7 +109,8 @@ def wigner_fock(f: FockSuperposition, x, p, ny: int = 512,
 
     h(x, -y) = conj h(x, y), so the sum over the symmetric y grid is twice
     the real sum over its y > 0 half, Re h cos(2py) + Im h sin(2py), with
-    the y = 0 node of an odd grid counted once.
+    the y = 0 node of an odd grid counted once.  Real coefficients make
+    Im h exactly 0, and the sine term is skipped.
     """
     y = np.linspace(-y_half, y_half, ny)
     weight = np.full(ny - ny // 2, 2.0 * (y[1] - y[0]) / math.pi)
@@ -121,8 +122,9 @@ def wigner_fock(f: FockSuperposition, x, p, ny: int = 512,
     h *= weight
     arg = np.multiply.outer(2.0 * y, p)
     w = h.real @ np.cos(arg)
-    np.sin(arg, out=arg)
-    w += h.imag @ arg
+    if h.imag.any():
+        np.sin(arg, out=arg)
+        w += h.imag @ arg
     return w
 
 

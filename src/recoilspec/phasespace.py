@@ -284,6 +284,12 @@ class FockSuperposition:
         remaining polynomials exactly.  The heat equation gives
         dP/dv = E[F''] / 2.  Arrays u, v broadcast; their nodes form one
         (points x nodes) grid.
+
+        G(-y) = conj G(y), so P is even in u and dP/du = 2u dP/dv(0, v)
+        + O(u^3).  Where u < 1e-8 sqrt(1 + v) the O(u^3) term, and the
+        O(u^2) difference between dP/dv(u, v) and dP/dv(0, v), are below
+        rounding, while the quadrature's O(1) terms of dP/du would cancel
+        to noise: there dP/du is read from that series.
         """
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
                                    np.asarray(v, dtype=float))
@@ -308,8 +314,12 @@ class FockSuperposition:
         # overflows
         wz = w * np.exp(0.5 * (z * z - u * u / den)) / np.sqrt(den)
         # a (1 x nodes) @ (nodes x 1) product per point sums as a 1-D dot
-        return tuple((wz[:, None] @ fk[..., None]).reshape(shape) * scale
-                     for fk, scale in ((f0, 1.0), (f1, 1.0), (f2, 0.5)))
+        p, p_u, p_v = ((wz[:, None] @ fk[..., None]).reshape(shape) * scale
+                       for fk, scale in ((f0, 1.0), (f1, 1.0), (f2, 0.5)))
+        series = (u * u < 1e-16 * den).reshape(shape)
+        if np.count_nonzero(series):        # cheaper than .any()
+            p_u = np.where(series, 2.0 * u.reshape(shape) * p_v, p_u)[()]
+        return p, p_u, p_v
 
     def march_step(self, alpha: float) -> float:
         """A step that resolves the fastest oscillation, set by the top

@@ -1,16 +1,19 @@
 """Fokker-Planck drift/diffusion coefficients from Bloch-equation solutions.
 
-The per-pulse coefficients are weighted integrals of <sigma_y(t)> and of
-Re<sigma_y(t) sigma_y(t')> over one pulse.  Both are exact blocks of one
-matrix exponential each (C. F. Van Loan, IEEE TAC 23:395, 1978), built on
-the affine Bloch generator A = [[M, Gamma m], [0, 0]] acting on (s, 1): the
-trap-frequency weights phi = (sin nu t, cos nu t) obey phi' = [[0, nu],
-[-nu, 0]] phi, so products of phi with the Bloch vector and the integrals of
-those products solve one larger linear system.  The Doppler damping rate g
-is the exact detuning derivative of the momentum drift, a Frechet derivative
-of the single-integral exponential; the detuning slope of the diffusion is
-the same kind of derivative of the double-integral exponential.  Both come
-from `_expm.expm_frechet`, a block of the exponential of the doubled block.
+The per-pulse coefficients are integrals of <sy(t)> and of C(t, t') =
+Re<sy(t) sy(t')> against the trap-frequency weights, Re and Im of
+e^{i nu t}, built on the affine Bloch generator A = [[M, Gamma m], [0, 0]]
+acting on (s, 1) from the ground state z0.  So each is a block of the
+exponential of a small complex block with A shifted by i nu (C. F. Van
+Loan, IEEE TAC 23:395, 1978): I_cos + i I_sin = int e^{i nu t} <sy> dt and
+K(1, b) = int dt int_0^t dt' e^{i nu t} e^{i b nu t'} C(t, t').  C is real,
+so b = +1 and -1 give all four J_fg = int dt int_0^t dt' f(nu t) g(nu t') C:
+J_cc = Re(K11 + K1-1)/2, J_ss = -Re(K11 - K1-1)/2, J_sc = Im(K11 + K1-1)/2
+and J_cs = Im(K11 - K1-1)/2.  One 10x10 block per b holds its single and
+double integral (the b = -1 block also I_one = int <sy> dt), and one
+`_expm.expm_frechet` call on the stack of both, along dA/dDelta, gives
+every integral and the exact detuning slopes of the drift (so the Doppler
+damping rate g) and of the diffusion.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._expm import expm, expm_frechet
+from ._expm import expm_frechet
 from .bloch import _REGRESS, _Z0, PulseParams, affine_generator
 from .errors import ConvergenceError
 
 _SQRT2 = math.sqrt(2.0)
-_I2, _I4 = np.eye(2), np.eye(4)
+_I4 = np.eye(4)
 _Y = 1                                   # index of s_y in (s, 1)
 _DA = np.zeros((4, 4))                   # d A / d Delta
 _DA[0, 1], _DA[1, 0] = -1.0, 1.0
@@ -72,66 +75,29 @@ class DriftDiffusion:
         }
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron for 2-D arrays, with the same products and a fraction of its
-    call overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+def _pulse_blocks(p: PulseParams):
+    """The complex 10x10 blocks for b = +1 and b = -1 as a (2, 10, 10)
+    stack, and their detuning derivative times the pulse length.
 
-
-def _scaled_generators(p: PulseParams):
-    """tau A for the affine Bloch generator A, and tau times phi's generator."""
-    a = affine_generator(p)
-    phi = np.array([[0.0, p.mode_freq], [-p.mode_freq, 0.0]])
+    Each block is [[0, 0, y, 0], [0, 0, 0, y], [0, 0, X, R], [0, 0, 0, Y]]
+    times tau, with y = e_y^T, X = A + i nu, Y = A + i (1 + b) nu and R the
+    regression map; both parts move with A, so the derivative holds dA/dDelta
+    on both diagonal parts.
+    """
+    tau, a = p.pulse_duration, affine_generator(p)
     with np.errstate(over="ignore"):
-        a, phi = a * p.pulse_duration, phi * p.pulse_duration
-    if not (np.isfinite(a).all() and np.isfinite(phi).all()):
+        a, nu = a * tau, p.mode_freq * tau
+    if not (np.isfinite(a).all() and math.isfinite(nu)):
         raise ConvergenceError(f"pulse generator overflows for {p}")
-    return a, phi
-
-
-def _single_block(p: PulseParams):
-    """The 15x15 block whose exponential holds the single integrals, and its
-    detuning derivative times the pulse length.
-
-    State (I[3], phi (x) s~[8], s~[4]) with s~ = (s, 1).
-    """
-    a, phi = _scaled_generators(p)
-    b = np.zeros((15, 15))
-    b[3:11, 3:11] = _kron(phi, _I4) + _kron(_I2, a)
-    b[11:, 11:] = a
-    b[0, 3 + _Y] = b[1, 7 + _Y] = b[2, 11 + _Y] = p.pulse_duration
-    db = np.zeros((15, 15))
-    db[3:11, 3:11] = _kron(_I2, _DA)
-    db[11:, 11:] = _DA
-    return b, db * p.pulse_duration
-
-
-def _single_integrals(p: PulseParams):
-    """(I_sin, I_cos, I_one) and their detuning derivatives, where
-    I_f = int_0^tau f(nu t) <sy(t)> dt and I_one = int_0^tau <sy(t)> dt."""
-    x0 = np.concatenate((np.zeros(7), _Z0, _Z0))      # phi(0) = (0, 1)
-    with np.errstate(all="ignore"):
-        big, dbig = expm_frechet(*_single_block(p))
-    return big[:3] @ x0, dbig[:3] @ x0
-
-
-def _double_block(p: PulseParams):
-    """The 36x36 block whose exponential holds the double integrals.
-
-    State (J[4], W[16], S[16]): S = phi (x) phi (x) s~ and W_g = phi (x) u_g
-    with u_g' = A u_g + R g(nu t) s~, so that e_y . u_g(t) is the inner
-    integral.
-    """
-    a, phi = _scaled_generators(p)
-    step = _kron(_I2, _kron(phi, _I4)) + _kron(_I4, a)
-    b = np.zeros((36, 36))
-    b[4:20, 4:20] = step
-    b[4:20, 20:] = _kron(_I4, p.pulse_duration * _REGRESS)
-    b[20:, 20:] = step + _kron(phi, np.eye(8))
-    for f, g in np.ndindex(2, 2):
-        b[2 * f + g, 4 + 8 * g + 4 * f + _Y] = p.pulse_duration
-    return b
+    blocks = np.zeros((2, 10, 10), dtype=complex)
+    blocks[:, 0, 2 + _Y] = blocks[:, 1, 6 + _Y] = tau
+    blocks[:, 2:6, 2:6] = a + 1j * nu * _I4
+    blocks[:, 2:6, 6:] = tau * _REGRESS
+    blocks[0, 6:, 6:] = a + 2j * nu * _I4
+    blocks[1, 6:, 6:] = a
+    direction = np.zeros((10, 10))
+    direction[2:6, 2:6] = direction[6:, 6:] = tau * _DA
+    return blocks, direction
 
 
 def compute_coefficients(p: PulseParams) -> DriftDiffusion:
@@ -140,38 +106,42 @@ def compute_coefficients(p: PulseParams) -> DriftDiffusion:
     Raises ConvergenceError, naming the pulse, when a coefficient is not
     finite.
     """
-    with np.errstate(all="ignore"):
-        j = expm(_double_block(p))[:4, 32:] @ _Z0     # S(0) = cos cos z0
-    return _assemble(p, _single_integrals(p), j)
+    return coefficients_with_slopes(p)[0]
 
 
 def coefficients_with_slopes(
         p: PulseParams) -> tuple[DriftDiffusion, tuple[float, float]]:
-    """`compute_coefficients` and `detuning_slopes` from one evaluation of
-    each pulse block: the Frechet derivative of the 36x36 double-integral
-    block returns its exponential too.
+    """`compute_coefficients` and `detuning_slopes` from one Frechet
+    derivative of the stack of both pulse blocks, whose exponential holds
+    every integral.
     """
-    single = _single_integrals(p)
-    db = np.zeros((36, 36))
-    db[4:20, 4:20] = db[20:, 20:] = _kron(_I4, _DA * p.pulse_duration)
     with np.errstate(all="ignore"):
-        big, dbig = expm_frechet(_double_block(p), db)
-    coeffs = _assemble(p, single, big[:4, 32:] @ _Z0)
-    (_, i_cos, _), (_, di_cos, _) = single
+        big, dbig = expm_frechet(*_pulse_blocks(p))
+        # rows 0 and 1 of each block read against z0 in parts 1 and 2,
+        # indexed [b, row, part]
+        x, dx = (m[:, :2, 2:].reshape(2, 2, 2, 4) @ _Z0 for m in (big, dbig))
+        i_cos, i_sin = x[0, 0, 0].real, x[0, 0, 0].imag
+        k_sum, k_diff = x[0, 0, 1] + x[1, 0, 1], x[0, 0, 1] - x[1, 0, 1]
+        j = (-0.5 * k_diff.real, 0.5 * k_sum.imag, 0.5 * k_diff.imag,
+             0.5 * k_sum.real)
+        # d alpha_p / d Delta, alpha_p = |pref I_cos|, pref = -eta Omega/sqrt2
+        pref = -p.lamb_dicke * p.rabi / _SQRT2
+        slope = float(np.sign(pref * i_cos) * pref * dx[0, 0, 0].real)
+    coeffs = _assemble(p, (i_sin, i_cos, x[1, 1, 1].real), j, slope)
     # D_pp = (eta Omega)^2 J_cc - alpha_p^2, and d J_cc / d Delta is the
-    # Frechet derivative of the double-integral exponential along dA/dDelta
-    dj_cc = dbig[3, 32:] @ _Z0
+    # Frechet derivative of the double integrals along dA/dDelta
+    dj_cc = 0.5 * (dx[0, 0, 1] + dx[1, 0, 1]).real
     eta_rabi = p.lamb_dicke * p.rabi
-    slope = _slope(p, i_cos, di_cos)
     return coeffs, (slope, float(eta_rabi * eta_rabi * dj_cc
                                  - 2.0 * coeffs.alpha_p * slope))
 
 
-def _assemble(p: PulseParams, single, j) -> DriftDiffusion:
-    """The coefficients from the single integrals with their detuning
-    derivatives and the double integrals (J_ss, J_sc, J_cs, J_cc), where
+def _assemble(p: PulseParams, single, j, slope: float) -> DriftDiffusion:
+    """The coefficients from the single integrals (I_sin, I_cos, I_one),
+    the double integrals (J_ss, J_sc, J_cs, J_cc) and d alpha_p / d Delta,
+    where I_f = int_0^tau f(nu t) <sy(t)> dt and
     J_fg = int_0^tau dt int_0^t dt' f(nu t) g(nu t') Re<sy(t) sy(t')>."""
-    (i_sin, i_cos, i_one), (_, di_cos, _) = single
+    i_sin, i_cos, i_one = single
     j_ss, j_sc, j_cs, j_cc = j
     eta_rabi = p.lamb_dicke * p.rabi
     with np.errstate(all="ignore"):
@@ -180,18 +150,12 @@ def _assemble(p: PulseParams, single, j) -> DriftDiffusion:
         vals = {"alpha_x": ax, "alpha_p": abs(ap),
                 "d_xx": pref2 * j_ss - ax * ax, "d_pp": pref2 * j_cc - ap * ap,
                 "d_xp": -0.5 * pref2 * (j_sc - j_cs) - ax * ap,
-                "g": p.eta_bar * p.mode_freq * _slope(p, i_cos, di_cos),
+                "g": p.eta_bar * p.mode_freq * slope,
                 "n1": 0.5 * p.rabi * i_one}
     vals = {k: float(v) for k, v in vals.items()}
     if not all(map(math.isfinite, vals.values())):
         raise ConvergenceError(f"pulse coefficients are not finite for {p}")
     return DriftDiffusion(**vals)
-
-
-def _slope(p: PulseParams, i_cos: float, di_cos: float) -> float:
-    """d alpha_p / d Delta, alpha_p = |pref I_cos| with pref = -eta Omega/sqrt(2)."""
-    pref = -p.lamb_dicke * p.rabi / _SQRT2
-    return float(np.sign(pref * i_cos) * pref * di_cos)
 
 
 def detuning_slopes(p: PulseParams) -> tuple[float, float]:

@@ -162,6 +162,21 @@ def test_huge_epsilon_sensitivity_is_the_closed_form():
     assert res.s_abs == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("state", [
+    FockSuperposition.fock(2), FockSuperposition.fock(4),
+    FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(3.0) / 2.0}),
+    FockSuperposition.from_dict({0: 0.6, 1: 0.8j}),
+], ids=["fock2", "fock4", "fock2+4", "fock0+1"])
+def test_fock_sensitivity_keeps_its_digits_at_huge_epsilon(state):
+    # |S| eps tends to a constant, as for the vacuum; dP/du is O(u) there,
+    # and the quadrature's O(1) terms for it would cancel to noise
+    scaled = [recoil_sensitivity(state, eps, allow_large_epsilon=True).s_abs
+              * eps for eps in (1e9, 1e13, 1e20, 1e100, 1e200, 1e300)]
+    assert scaled[0] > 0.0
+    for x in scaled[1:]:
+        assert x == pytest.approx(scaled[0], rel=1e-10, abs=0.0)
+
+
 def test_working_point_probability_is_exact():
     state = GaussianState.squeezed(0.8)
     wp = find_working_point(state, 0.15)

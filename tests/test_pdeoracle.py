@@ -391,6 +391,37 @@ def test_half_grid_fock_wigner_equals_the_complex_kernel(state, ny):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+def _half_grid_wigner_fock_with_sine(f, x, p, ny=512, y_half=6.0):
+    """wigner_fock's half-grid sum with the sine term always taken."""
+    y = np.linspace(-y_half, y_half, ny)
+    weight = np.full(ny - ny // 2, 2.0 * (y[1] - y[0]) / math.pi)
+    if ny % 2:
+        weight[0] *= 0.5
+    y = y[ny // 2:]
+    h = _fock_wavefunction(f.coeffs, x[:, None] + y)
+    h *= np.conj(_fock_wavefunction(f.coeffs, x[:, None] - y))
+    h *= weight
+    arg = np.multiply.outer(2.0 * y, p)
+    return h.real @ np.cos(arg) + h.imag @ np.sin(arg)
+
+
+@pytest.mark.parametrize("state, real", [
+    (FockSuperposition.fock(2), True),
+    (FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(3) / 2}), True),
+    (FockSuperposition.from_dict({0: 1 / math.sqrt(2),
+                                  1: 1j / math.sqrt(2)}), False),
+], ids=["fock2", "fock24", "fock0+i1"])
+def test_fock_wigner_skips_the_sine_term_only_where_it_is_zero(state, real):
+    x, p = default_grid(state, FPParams(alpha=1.1, d=0.3, tbar=1.0)).axes()
+    got = wigner_fock(state, x, p)
+    assert np.array_equal(got, _half_grid_wigner_fock_with_sine(state, x, p))
+    # the p grid is symmetric up to rounding; the sine term is the part of
+    # W odd in p
+    odd = np.max(np.abs(got - got[:, ::-1]))
+    assert np.allclose(p, -p[::-1], rtol=0, atol=1e-12)
+    assert odd < 1e-12 if real else odd > 0.1
+
+
 def test_broadcast_gaussian_wigner_equals_the_meshgrid_formula():
     sq = GaussianState.squeezed(0.6, phase=math.pi / 5)
     state = GaussianState([0.7, -1.3], sq.cov)

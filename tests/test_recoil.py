@@ -284,10 +284,6 @@ REFERENCE = {
         'slope_d_pp': 1.864765496524334846230468732727279283627e-17,
     },
 }
-# the 1 ms pulse takes 16 squarings and the 1 GHz pulses 8 or 9, each of
-# which doubles the rounding carried by the exponential
-REFERENCE_BOUNDS = {"1ms": 1e-11, "rabi-1GHz": 1e-11, "linewidth-1GHz": 1e-11,
-                    "trap-1GHz": 1e-11}
 
 
 def _reference_scales(p: PulseParams, want: dict) -> dict:
@@ -318,6 +314,5 @@ def test_coefficients_and_slopes_against_40_digit_reference(dipole_pulse,
     got = {**dataclasses.asdict(coeffs), "slope_alpha_p": slope_alpha,
            "slope_d_pp": slope_d}
     scales = _reference_scales(p, want)
-    bound = REFERENCE_BOUNDS.get(name, 1e-13)
     for key, value in want.items():
-        assert abs(got[key] - value) <= bound * scales[key], key
+        assert abs(got[key] - value) <= 1e-14 * scales[key], key
