@@ -59,14 +59,11 @@ def _pade(a: np.ndarray, m: int, s: int) -> np.ndarray:
             powers.append(powers[-1] @ a2)
         u = a @ sum(b[2 * k + 1] * x for k, x in enumerate(powers))
         v = sum(b[2 * k] * x for k, x in enumerate(powers))
-    if np.iscomplexobj(a):
-        # I + 2 (V - U)^-1 U: the identity enters exactly, so where a row
-        # and column of U vanish (the zero rows of a Van Loan block) the
-        # diagonal stays exactly 1 through the squarings instead of gaining
-        # 2^s roundings; real input, the Bloch propagator's, keeps its form
-        r = eye + 2.0 * np.linalg.solve(v - u, u)
-    else:
-        r = np.linalg.solve(v - u, v + u)
+    # I + 2 (V - U)^-1 U: the identity enters exactly, so where a row and
+    # column of U vanish (the zero rows of a Van Loan block, the affine 1
+    # of the Bloch propagator) the diagonal stays exactly 1 through the
+    # squarings instead of gaining 2^s roundings
+    r = eye + 2.0 * np.linalg.solve(v - u, u)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
             r = r @ r

@@ -10,9 +10,12 @@ Doppler damping g).  At g = 0 every overlap and its exact drift and
 diffusion slopes come from one route, the 1-D displacement fidelity: each
 state family's `slopes(u, v)` on arrays of points (closed forms for
 Gaussian and cat states, exact Gauss-Hermite quadrature for Fock
-superpositions), and `overlap_slopes` at one point.  Each family also owns
-what the working-point march and the Doppler term need to know about it:
-`march_step`, `march_scale` and `reflection_symmetric`.
+superpositions), and `overlap_slopes` at one point.
+`real_fock_derivatives` adds, for a real Fock superposition at one point,
+the higher drift derivatives and the coefficient gradients that the
+probe-state optimizer needs.  Each family also owns what the working-point
+march and the Doppler term need to know about it: `march_step`,
+`march_scale` and `reflection_symmetric`.
 """
 
 from __future__ import annotations
@@ -296,9 +299,7 @@ class FockSuperposition:
         shape = u.shape
         u, v = u.reshape(-1, 1), v.reshape(-1, 1)
         idx, vecs = self._levels, self._vecs
-        den = 1.0 + v
-        z, w = _hermite_e_rule(2 * len(self.coeffs))
-        z = u / den + np.sqrt(v / den) * z
+        z, wz = _folded_rule(2 * len(self.coeffs), u, v)
         rows = max(1, _KICK_BUDGET // (z.shape[1] * len(idx) ** 2))
         # g[..., i, j] = vecs_i^dag D vecs_j, with vecs = (c, x c)
         g = np.concatenate([
@@ -310,13 +311,10 @@ class FockSuperposition:
         f0 = np.abs(g0) ** 2
         f1 = 2.0 * np.real(np.conj(g0) * g1)
         f2 = 2.0 * np.real(np.abs(g1) ** 2 + np.conj(g0) * g2)
-        # one exponent: F underflows gracefully where e^{z^2/2} alone
-        # overflows
-        wz = w * np.exp(0.5 * (z * z - u * u / den)) / np.sqrt(den)
         # a (1 x nodes) @ (nodes x 1) product per point sums as a 1-D dot
         p, p_u, p_v = ((wz[:, None] @ fk[..., None]).reshape(shape) * scale
                        for fk, scale in ((f0, 1.0), (f1, 1.0), (f2, 0.5)))
-        series = (u * u < 1e-16 * den).reshape(shape)
+        series = (u * u < 1e-16 * (1.0 + v)).reshape(shape)
         if np.count_nonzero(series):        # cheaper than .any()
             p_u = np.where(series, 2.0 * u.reshape(shape) * p_v, p_u)[()]
         return p, p_u, p_v
@@ -381,9 +379,9 @@ def overlap_gaussian(a: GaussianState, b: GaussianState) -> float:
     return float(det**-0.5 * math.exp(-0.5 * dm @ np.linalg.solve(sigma, dm)))
 
 
-# log n! for every level a Fock state and its x c can reach, and i^k
+# log n! for every level a Fock state and its x^2 c can reach, and i^k
 _LOG_FACTORIAL = np.array([math.lgamma(n + 1.0)
-                           for n in range(FockSuperposition.MAX_N + 2)])
+                           for n in range(FockSuperposition.MAX_N + 3)])
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
@@ -448,6 +446,44 @@ def _hermite_e_rule(n: int):
     return z, w / math.sqrt(2.0 * math.pi)
 
 
+def _folded_rule(n: int, u, v):
+    """Nodes z and weights wz with E_{y~N(u,v)}[e^{-y^2/2} q(y)] =
+    sum wz q(z), exact for polynomials q of degree < 2n: the envelope
+    folds into the kick distribution, which leaves the expectation of q
+    over N(u/(1+v), v/(1+v)) for n Gauss-Hermite nodes.  u and v broadcast
+    against the nodes."""
+    den = 1.0 + v
+    z, w = _hermite_e_rule(n)
+    z = u / den + np.sqrt(v / den) * z
+    # one exponent: F underflows gracefully where e^{z^2/2} alone overflows
+    return z, w * np.exp(0.5 * (z * z - u * u / den)) / np.sqrt(den)
+
+
+@lru_cache(maxsize=16)
+def _padded_levels(basis: tuple[int, ...]):
+    """What `real_fock_derivatives` needs of a basis: the places of its
+    levels among those it and its x c and x^2 c reach, their
+    `_level_tables`, the maps x^k (k = 0, 1, 2) from the basis
+    coefficients onto them, shape (3, levels, basis), and the node count
+    2 n_max + 3."""
+    levels = sorted({m for n in basis for m in range(max(n - 2, 0), n + 3)})
+    powers = np.zeros((3, levels[-1] + 1, len(basis)))
+    for i, n in enumerate(basis):
+        powers[0, n, i] = 1.0
+        for k in (1, 2):
+            powers[k, :, i] = _position_times(powers[k - 1, :, i])
+    return (np.searchsorted(levels, basis), _level_tables(tuple(levels)),
+            powers[:, levels], 2 * levels[-1] - 1)
+
+
+# G^(k) = i^k g[a, b] with a + b = k, and _LEIBNIZ[k, a, k - a] =
+# binomial(k, a): F^(k) = sum_a of it times conj(G^(a)) G^(k-a)
+_G_ROWS, _G_COLS = np.array([0, 0, 1, 1, 2]), np.array([0, 1, 1, 2, 2])
+_I_K = _I_POWERS[np.arange(5) % 4]
+_LEIBNIZ = np.array([[[math.comb(k, a) * (a + b == k) for b in range(5)]
+                      for a in range(5)] for k in range(5)], dtype=float)
+
+
 def _position_times(c: np.ndarray) -> np.ndarray:
     """x c in the Fock basis, from the two off-diagonals of the
     tridiagonal x = (a + a^dag) / sqrt2; slices keep this small product out
@@ -479,6 +515,42 @@ def overlap_slopes(state: MotionalState, fp: FPParams):
     p, p_u, p_v = (float(x) for x in state.slopes(
         fp.alpha * fp.tbar, fp.d * fp.tbar))
     return p, p_u * fp.tbar, p_v * fp.tbar
+
+
+def real_fock_derivatives(basis, c, u: float, v: float):
+    """u-derivatives of P at one point (u, v) for the real superposition
+    sum_i c_i |basis_i>, and the gradients of the first three in c.
+
+    Returns m with m[k] = d^k P/du^k for k = 0..4, so that, by the heat
+    equation, dP/dv = m[2]/2, d2P/dudv = m[3]/2 and d2P/dv2 = m[4]/4; and
+    dm with dm[k, i] = d m[k]/dc_i for k = 0..2.  As in
+    `FockSuperposition.slopes`, m[k] = E[F^(k)] for F = |G|^2, by the
+    Leibniz rule from G^(k) = i^k (x^a c)^T D (x^b c), a + b = k, and the
+    symmetric D = e^{iyx} gives dG^(k)/dc = 2 i^k D x^k c.  The kick
+    elements span the basis levels padded by two on each side, where x^2 c
+    lives, whatever the values of c; F^(4) has degree 4 n_max + 4, so
+    2 n_max + 3 nodes are exact.  Where u < 1e-8 sqrt(1 + v) the odd
+    derivatives are read as m[2j+1] = u m[2j+2], the series `slopes` uses
+    for dP/du.
+    """
+    rows, tables, powers, nodes = _padded_levels(tuple(basis))
+    vecs = powers @ c
+    z, wz = _folded_rule(nodes, u, v)
+    # h[z, :, b] = D x^b c and g[z, a, b] = (x^a c)^T D x^b c; einsum
+    # keeps these small complex products out of BLAS, whose complex
+    # kernels alone add ~0.4 MB of resident memory to a process
+    h = np.einsum("zab,kb->zak", _kick_elements(tables, z), vecs)
+    g = np.einsum("ia,zak->zik", vecs, h)
+    gk = g[:, _G_ROWS, _G_COLS] * _I_K             # [z, k] = G^(k)
+    dgk = 2.0 * _I_K[:3] * h[:, rows]              # [z, i, k] = dG^(k)/dc_i
+    wg = wz[:, None] * np.conj(gk)
+    m = np.einsum("kab,za,zb->k", _LEIBNIZ, wg, gk).real
+    # conj(G^(a)) dG^(b) and its mirror term are complex conjugates
+    dm = 2.0 * np.einsum("kab,za,zib->ki", _LEIBNIZ[:3, :3, :3], wg[:, :3],
+                         dgk).real
+    if u * u < 1e-16 * (1.0 + v):
+        m[1], m[3], dm[1] = u * m[2], u * m[4], u * dm[2]
+    return m, dm
 
 
 def overlap_after(state: MotionalState, fp: FPParams) -> float:

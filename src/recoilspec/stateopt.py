@@ -17,8 +17,10 @@ from numpy.random import default_rng
 from .bloch import PulseParams
 from .errors import (ConfigError, ConvergenceError, NoCrossingError,
                      OptimizerError)
-from .metrology import _hermite_newton, recoil_sensitivity
-from .phasespace import FockSuperposition, GaussianState
+from .metrology import (_hermite_newton, find_working_point,
+                        recoil_sensitivity)
+from .phasespace import (FockSuperposition, GaussianState,
+                         real_fock_derivatives)
 from .recoil import DriftDiffusion, compute_coefficients
 
 
@@ -28,7 +30,6 @@ _GTOL = 1e-9
 # Relative decrease of the objective over one step that ends a restart as
 # converged: (f_k - f_k+1) <= _FTOL max(|f_k|, |f_k+1|, 1).
 _FTOL = 1e-12
-_FD_STEP = 1e-6       # forward-difference step of the gradient, in radians
 _MAX_ITER = 200       # iterations before a restart ends as not converged
 _ARMIJO = 1e-4        # sufficient-decrease constant of the line search
 _MAX_HALVINGS = 30    # backtracking halvings before the line search fails
@@ -49,8 +50,14 @@ class OptimizationProblem:
             raise ConfigError("basis indices must be distinct")
         if any(n < 0 for n in self.basis):
             raise ConfigError("basis indices must be non-negative")
-        if self.nbar_max <= 0.0:
+        if not self.nbar_max > 0.0:
             raise ConfigError("nbar_max must be positive")
+        if min(self.basis) > self.nbar_max:
+            raise ConfigError(f"nbar_max={self.nbar_max} is below "
+                              f"min(basis)={min(self.basis)}: no state of "
+                              f"the basis meets the bound")
+        if self.mode not in ("drift-only", "extended"):
+            raise ConfigError(f"unknown sensitivity mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -81,14 +88,67 @@ def squeezing_db(r: float) -> float:
     return 10.0 * math.log10(math.exp(2.0 * r))
 
 
-def _angles_to_coeffs(angles: np.ndarray) -> np.ndarray:
-    """Hypersphere parameterization; exactly normalized for any angles."""
+def _hypersphere(angles: np.ndarray):
+    """Unit vector of hypersphere angles, exactly normalized for any
+    angles, and its Jacobian in them."""
     dim = len(angles) + 1
     c = np.ones(dim)
+    jac = np.zeros((dim, dim - 1))
     for i, a in enumerate(angles):
-        c[i] *= math.cos(a)
-        c[i + 1:] *= math.sin(a)
-    return c
+        cos, sin = math.cos(a), math.sin(a)
+        jac[i, i] = -sin * c[i]
+        jac[i + 1:, i] = cos * c[i + 1:]
+        jac[i, :i] *= cos
+        jac[i + 1:, :i] *= sin
+        c[i] *= cos
+        c[i + 1:] *= sin
+    return c, jac
+
+
+def _feasible_coeffs(prob: OptimizationProblem):
+    """angles -> (c, dc/dangles): len(basis) - 1 angles onto the
+    normalized real coefficients with nbar <= nbar_max, every such state
+    reached, the bound held exactly by construction.
+
+    Without a level above nbar_max every state qualifies: hypersphere
+    angles.  Otherwise, with a_i = sqrt(nbar_max - n_i) c_i on the levels
+    below the bound and b_i = sqrt(n_i - nbar_max) c_i on those above,
+    nbar <= nbar_max is |b| <= |a|.  So a = a_hat and b = sin(chi) b_hat,
+    each unit vector from its own hypersphere angles, are normalized
+    together, and a level at nbar_max enters by one more angle psi.  The
+    bound is active at sin(chi) = +-1, inside the angle space, where an
+    optimum is a smooth stationary point like any other.
+    """
+    gap = np.asarray(prob.basis, dtype=float) - prob.nbar_max
+    hi = np.flatnonzero(gap > 0.0)
+    if not len(hi):
+        return _hypersphere
+    lo, on = np.flatnonzero(gap < 0.0), np.flatnonzero(gap == 0.0)
+    w_lo, w_hi = (-gap[lo]) ** -0.5, gap[hi] ** -0.5
+    # c does not depend on a common factor; at most 1, |w|^2 cannot
+    # overflow where the bound lies within rounding above a level
+    top = max(w_lo.max(), w_hi.max())
+    w_lo, w_hi, na = w_lo / top, w_hi / top, len(lo)
+
+    def coeffs(angles):
+        a, ja = _hypersphere(angles[:na - 1])
+        b, jb = _hypersphere(angles[na:na + len(hi) - 1])
+        sin, cos = math.sin(angles[na - 1]), math.cos(angles[na - 1])
+        w = np.zeros(len(gap))
+        jw = np.zeros((len(gap), na + len(hi) - 1))
+        w[lo], jw[lo, :na - 1] = w_lo * a, w_lo[:, None] * ja
+        w[hi], jw[hi, na - 1] = sin * w_hi * b, cos * w_hi * b
+        jw[hi, na:] = sin * w_hi[:, None] * jb
+        norm = math.sqrt(w @ w)
+        c = w / norm
+        jac = (jw - np.outer(c, c @ jw)) / norm
+        if len(on):
+            psi = angles[-1]
+            jac = np.column_stack([math.cos(psi) * jac, -math.sin(psi) * c])
+            c = math.cos(psi) * c
+            c[on], jac[on, -1] = math.sin(psi), math.cos(psi)
+        return c, jac
+    return coeffs
 
 
 def _state_from_coeffs(basis, c) -> FockSuperposition:
@@ -99,7 +159,7 @@ def _state_from_coeffs(basis, c) -> FockSuperposition:
 def _minimize(fun, x0):
     """Dense BFGS on a smooth unconstrained objective: (x, f, converged).
 
-    The gradient is a forward difference and each step backtracks until the
+    fun(x) returns f and its gradient, and each step backtracks until the
     Armijo condition holds.  It stays put if no such step is found, or once
     a trial changes f by at most _FTOL relative, below what the stop rule
     resolves.  A restart converges when max|grad| <= _GTOL or a step lowers
@@ -107,17 +167,8 @@ def _minimize(fun, x0):
     lowering f is first retried along -grad with the inverse Hessian
     discarded.  It fails when _MAX_ITER iterations run out.
     """
-    def grad(x, f):
-        g = np.empty_like(x)
-        for i in range(len(x)):
-            xi = x.copy()
-            xi[i] += _FD_STEP
-            g[i] = (fun(xi) - f) / _FD_STEP
-        return g
-
     x = np.array(x0, dtype=float)
-    f = fun(x)
-    g = grad(x, f)
+    f, g = fun(x)
     h = None                      # inverse Hessian; None steps along -grad
     for _ in range(_MAX_ITER):
         if np.max(np.abs(g)) <= _GTOL:
@@ -125,23 +176,21 @@ def _minimize(fun, x0):
         step = -g if h is None else -(h @ g)
         slope = float(g @ step)
         t = 1.0
+        x_new, f_new, g_new = x, f, g
         for _ in range(_MAX_HALVINGS):
-            x_new = x + t * step
-            f_new = fun(x_new)
-            if f_new <= f + _ARMIJO * t * slope:
+            x_t = x + t * step
+            f_t, g_t = fun(x_t)
+            if f_t <= f + _ARMIJO * t * slope:
+                x_new, f_new, g_new = x_t, f_t, g_t
                 break
-            if abs(f_new - f) <= _FTOL * max(abs(f), abs(f_new), 1.0):
-                x_new, f_new = x, f
+            if abs(f_t - f) <= _FTOL * max(abs(f), abs(f_t), 1.0):
                 break
             t *= 0.5
-        else:
-            x_new, f_new = x, f
         if f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0):
             if h is None or f_new < f:
                 return x_new, f_new, True
             h = None
             continue
-        g_new = grad(x_new, f_new)
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
         if sy > 0.0:
@@ -164,29 +213,52 @@ def fock_sensitivity(prob: OptimizationProblem, c) -> float:
     return res.s_abs
 
 
+def _signed_sensitivity(prob: OptimizationProblem, c: np.ndarray):
+    """S of the basis superposition with normalized real coefficients c,
+    and its gradient in c through the working point t*(c).
+
+    P(t*, eps t*) = p0 gives dt*/dc = -(dP/dc) / (dP/dt), so
+    dS/dc = dS/dc|_t + dS/dt dt*/dc, with every derivative from one
+    `real_fock_derivatives` call at t*.
+    """
+    eps = prob.epsilon
+    state = _state_from_coeffs(prob.basis, c)
+    t = find_working_point(state, eps, p0=prob.p0,
+                           allow_large_epsilon=True).tstar
+    m, dm = real_fock_derivatives(prob.basis, c, t, eps * t)
+    p_t = m[1] + 0.5 * eps * m[2]           # dP/dt along (u, v) = (t, eps t)
+    if prob.mode == "extended":             # S = P_u + eps P_v = dP/dt
+        s, ds = p_t, dm[1] + 0.5 * eps * dm[2]
+        s_t = m[2] + eps * m[3] + 0.25 * eps * eps * m[4]
+    else:                                   # S = P_u
+        s, ds = m[1], dm[1]
+        s_t = m[2] + 0.5 * eps * m[3]
+    return float(s), ds - (s_t / p_t) * dm[0]
+
+
 def optimize_fock_superposition(prob: OptimizationProblem,
                                 n_restarts: int = 8,
                                 seed: int = 0) -> OptimizationResult:
     """Best-found coefficients maximizing |S| subject to nbar <= nbar_max."""
-    if len(prob.basis) == 1:
-        c = np.array([1.0])
+    ns = np.asarray(prob.basis, dtype=float)
+    low = min(prob.basis)
+    if len(prob.basis) == 1 or low == prob.nbar_max:
+        # the lowest level is the only state within the bound
+        c = (ns == low).astype(float)
         s = fock_sensitivity(prob, c)
-        nbar = float(prob.basis[0])
-        return OptimizationResult(coeffs=c, s_abs=s, nbar_used=nbar,
-                                  constraint_slack=prob.nbar_max - nbar,
+        return OptimizationResult(coeffs=c, s_abs=s, nbar_used=float(low),
+                                  constraint_slack=prob.nbar_max - low,
                                   n_converged=1)
     rng = default_rng(seed)
-    ns = np.asarray(prob.basis, dtype=float)
-    penalty_w = 1e3
+    coeffs_of = _feasible_coeffs(prob)
 
     def objective(angles):
-        c = _angles_to_coeffs(angles)
-        nbar = float(ns @ c**2)
+        c, jac = coeffs_of(angles)
         try:
-            s = fock_sensitivity(prob, c)
+            s, ds = _signed_sensitivity(prob, c)
         except NoCrossingError:
-            return 1e3
-        return -s + penalty_w * max(0.0, nbar - prob.nbar_max) ** 2
+            return 1e3, np.zeros(len(angles))
+        return -abs(s), -math.copysign(1.0, s) * (ds @ jac)
 
     best = None
     n_converged = 0
@@ -199,7 +271,7 @@ def optimize_fock_superposition(prob: OptimizationProblem,
             best = (x, f)
     if n_converged == 0:
         raise OptimizerError("no restart reached the gradient tolerance")
-    c = _angles_to_coeffs(best[0])
+    c = coeffs_of(best[0])[0]
     # canonical sign: first nonzero coefficient positive
     nz = np.flatnonzero(np.abs(c) > 1e-12)
     if len(nz) and c[nz[0]] < 0:

@@ -117,6 +117,15 @@ def test_steady_state_is_fixed_point(dipole_pulse):
         assert np.max(np.abs(residual)) < 1e-12 * dipole_pulse.linewidth
 
 
+@pytest.mark.parametrize("tau", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+def test_long_pulse_reaches_the_steady_state(dipole_pulse, tau):
+    # after tau >> 1/linewidth the state is the fixed point to rounding;
+    # the affine 1 of (s, 1) must not gain a rounding per squaring
+    s = solve_bloch(replace(dipole_pulse, pulse_duration=tau), tau)
+    want = steady_state(dipole_pulse)
+    assert np.max(np.abs(s - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_detuning_parity(dipole_pulse):
     plus = solve_bloch(dipole_pulse, 30e-9)
     minus = solve_bloch(dipole_pulse.with_detuning(-dipole_pulse.detuning), 30e-9)

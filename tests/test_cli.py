@@ -148,6 +148,10 @@ def test_long_pulse_coeffs_exit_0_with_finite_rows():
       "--set", "sensitivity.epsilon_max=1e300",
       "--set", "sensitivity.points=2",
       "--set", "sensitivity.allow_large_epsilon=true"], 0),
+    (["optimize", "--set", "optimize.basis=[2,4]",
+      "--set", "optimize.nbar_max=1"], 2),
+    (["optimize", "--set", "optimize.basis=[3]",
+      "--set", "optimize.nbar_max=1"], 2),
 ])
 def test_non_finite_inputs_and_outputs_exit_cleanly(args, code):
     proc = run_cli(*args)

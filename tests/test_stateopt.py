@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from recoilspec import (CatState, FockSuperposition, NoCrossingError,
-                        OptimizationProblem, OptimizerError, PulseParams,
-                        fock_sensitivity, optimize_fock_superposition,
-                        recoil_sensitivity, single_photon_budget,
-                        squeezing_db, state_nbar, stateopt)
-from recoilspec.stateopt import _minimize
+from recoilspec import (CatState, ConfigError, FockSuperposition,
+                        NoCrossingError, OptimizationProblem, OptimizerError,
+                        PulseParams, fock_sensitivity, metrology,
+                        optimize_fock_superposition, recoil_sensitivity,
+                        single_photon_budget, squeezing_db, state_nbar,
+                        stateopt)
+from recoilspec.stateopt import (_feasible_coeffs, _minimize,
+                                 _signed_sensitivity)
 
 # |S| of the best (2, 4) superposition at epsilon = 0.1 and nbar <= 4
 S_24 = 1.6147542274987
@@ -102,43 +104,149 @@ def test_pinned_two_level_optimum_matches_a_golden_section_search():
         return fock_sensitivity(prob, [math.cos(theta), math.sin(theta)])
 
     theta = _golden_section_max(s_of, 0.9, 1.2)
-    # the energy bound is slack there, so the penalty plays no part
+    # the energy bound is slack there
     assert 2.0 * math.cos(theta)**2 + 4.0 * math.sin(theta)**2 < 4.0
     assert s_of(theta) == pytest.approx(S_24, rel=1e-11)
-    assert res.s_abs == pytest.approx(S_24, rel=1e-11)
+    assert res.s_abs == pytest.approx(S_24, rel=1e-12)
+    # a golden-section search on the flat top of |S| fixes theta to ~3e-8
     assert res.coeffs == pytest.approx(
-        [math.cos(theta), math.sin(theta)], abs=1e-6)
+        [math.cos(theta), math.sin(theta)], abs=1e-7)
+
+
+def test_probe_states_problem_evaluates_the_sensitivity_at_most_12_times(
+        monkeypatch):
+    # each sensitivity evaluation, with or without its gradient, solves
+    # for one working point
+    calls = []
+    solve = metrology.find_working_point
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(metrology, "find_working_point", counted)
+    monkeypatch.setattr(stateopt, "find_working_point", counted)
+    prob = OptimizationProblem(basis=(2, 4), nbar_max=4.0, epsilon=0.1)
+    res = optimize_fock_superposition(prob, n_restarts=2, seed=0)
+    assert res.s_abs == pytest.approx(S_24, rel=1e-12)
+    assert len(calls) <= 12
+
+
+def _central_difference(fun, x, h=1e-5):
+    return np.array([(fun(x + h * e) - fun(x - h * e)) / (2.0 * h)
+                     for e in np.eye(len(x))])
+
+
+@pytest.mark.parametrize("mode", ["drift-only", "extended"])
+@pytest.mark.parametrize("basis, nbar_max, x, active", [
+    ((2, 4), 4.0, [1.05], False),
+    ((2, 4), 3.0, [0.4], False),
+    ((2, 4), 3.0, [math.pi / 2], True),
+    ((0, 2, 4), 3.0, [0.7, 2.1], False),
+    ((0, 2, 4), 3.0, [2.3, math.pi / 2], True),
+    ((1, 2, 3, 5), 3.0, [0.5, 1.1, 2.6], False),
+    ((1, 2, 3, 5), 3.0, [1.3, math.pi / 2, 0.8], True),
+])
+def test_exact_gradient_matches_a_central_difference(basis, nbar_max, x,
+                                                     active, mode):
+    prob = OptimizationProblem(basis=basis, nbar_max=nbar_max, epsilon=0.1,
+                               mode=mode)
+    coeffs_of = _feasible_coeffs(prob)
+    x = np.array(x)
+    c, jac = coeffs_of(x)
+    assert (abs(np.asarray(basis) @ c**2 - nbar_max) <= 1e-12) == active
+    _, ds = _signed_sensitivity(prob, c)
+    # in the coefficients, along the unit sphere: the gradient of S(c/|c|)
+    tangent = ds - (ds @ c) * c
+    scale = np.max(np.abs(tangent))
+    assert tangent == pytest.approx(_central_difference(
+        lambda y: _signed_sensitivity(prob, y / np.linalg.norm(y))[0], c),
+        rel=0, abs=1e-7 * scale)
+    # in the angles; at an active bound on two levels this gradient is 0
+    assert ds @ jac == pytest.approx(_central_difference(
+        lambda y: _signed_sensitivity(prob, coeffs_of(y)[0])[0], x),
+        rel=0, abs=1e-7 * scale)
+
+
+@pytest.mark.parametrize("basis, nbar_max", [
+    ((2, 4), 3.0), ((2, 4), 1e6), ((0, 2, 4), 3.0), ((1, 2, 3, 5), 3.0),
+    ((1, 2, 3, 5), 2.0), ((5, 1, 3), 3.0)])
+def test_feasible_coefficients_meet_the_bound(basis, nbar_max):
+    coeffs_of = _feasible_coeffs(
+        OptimizationProblem(basis=basis, nbar_max=nbar_max))
+    ns = np.asarray(basis, dtype=float)
+    rng = np.random.default_rng(4)
+    for x in rng.uniform(-7.0, 7.0, size=(50, len(basis) - 1)):
+        c, _ = coeffs_of(x)
+        assert c @ c == pytest.approx(1.0, rel=1e-15)
+        assert ns @ c**2 <= nbar_max * (1.0 + 1e-15)
+
+
+def test_active_bound_on_two_levels_fixes_the_state():
+    # the unconstrained optimum has nbar = 3.48, so with nbar <= 3 the
+    # best state sits on the bound, where (2, 4) allows only c2 = c4
+    res = optimize_fock_superposition(
+        OptimizationProblem(basis=(2, 4), nbar_max=3.0, epsilon=0.1), seed=0)
+    assert res.coeffs == pytest.approx([0.5**0.5, 0.5**0.5], rel=0,
+                                       abs=1e-10)
+    assert res.constraint_slack >= -1e-12
+    # with nbar <= 2 only Fock 2 is left
+    prob = OptimizationProblem(basis=(2, 4), nbar_max=2.0, epsilon=0.1)
+    res = optimize_fock_superposition(prob, seed=0)
+    assert list(res.coeffs) == [1.0, 0.0]
+    assert res.constraint_slack == 0.0
+    assert res.s_abs == fock_sensitivity(prob, [1.0, 0.0])
+
+
+def test_active_bound_optimum_does_not_depend_on_the_seed():
+    prob = OptimizationProblem(basis=(1, 2, 3, 5), nbar_max=3.0,
+                               epsilon=0.1)
+    a, b = (optimize_fock_superposition(prob, seed=s) for s in (0, 1))
+    assert a.s_abs == pytest.approx(b.s_abs, rel=1e-12)
+    for res in (a, b):
+        assert res.constraint_slack >= -1e-12
+        assert res.constraint_slack <= 1e-12     # the bound is active
+
+
+@pytest.mark.parametrize("basis, nbar_max", [((2, 4), 1.0), ((3,), 1.0)])
+def test_infeasible_bound_is_refused(basis, nbar_max):
+    with pytest.raises(ConfigError, match=r"nbar_max.*min\(basis\)"):
+        OptimizationProblem(basis=basis, nbar_max=nbar_max)
 
 
 def test_minimize_reaches_an_ill_scaled_quadratic_minimum():
-    # curvatures 100 and 1e5 along the axes; where the Hessian H is
-    # diagonal the forward-difference bias (h/2) H^-1 diag(H) of the
-    # minimizer is half a step, 5e-7, along each axis
+    # curvatures 100 and 1e5 along the axes
     x, _, converged = _minimize(
-        lambda x: 50.0 * (x[0] - 0.3)**2 + 5e4 * (x[1] + 0.7)**2,
+        lambda x: (50.0 * (x[0] - 0.3)**2 + 5e4 * (x[1] + 0.7)**2,
+                   np.array([100.0 * (x[0] - 0.3), 1e5 * (x[1] + 0.7)])),
         np.array([2.0, 1.0]))
     assert converged
-    assert x == pytest.approx([0.3, -0.7], rel=0, abs=1e-6)
+    assert x == pytest.approx([0.3, -0.7], rel=0, abs=1e-9)
 
 
 def _smooth_3d(x):
-    """Minimum 0 at (0.5, -1.2, 2), with a diagonal Hessian there."""
+    """Minimum 0 at (0.5, -1.2, 2), with a diagonal Hessian there, and the
+    gradient."""
     d = x - np.array([0.5, -1.2, 2.0])
-    return (float(np.array([10.0, 30.0, 100.0]) @ (np.cosh(d) - 1.0))
-            + d[0]**2 * d[1]**2 * (1.0 + d[2]**2))
+    w = np.array([10.0, 30.0, 100.0])
+    q = 1.0 + d[2]**2
+    f = float(w @ (np.cosh(d) - 1.0)) + d[0]**2 * d[1]**2 * q
+    grad = w * np.sinh(d) + np.array([2.0 * d[0] * d[1]**2 * q,
+                                      2.0 * d[1] * d[0]**2 * q,
+                                      2.0 * d[2] * d[0]**2 * d[1]**2])
+    return f, grad
 
 
 def test_minimize_reaches_a_smooth_3d_minimum():
     x, _, converged = _minimize(_smooth_3d, np.zeros(3))
     assert converged
-    assert x == pytest.approx([0.5, -1.2, 2.0], rel=0, abs=1e-6)
+    assert x == pytest.approx([0.5, -1.2, 2.0], rel=0, abs=1e-7)
 
 
 def test_minimize_reports_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(stateopt, "_MAX_ITER", 3)
     x, f, converged = _minimize(_smooth_3d, np.zeros(3))
     assert not converged
-    assert f == _smooth_3d(x)
+    assert f == _smooth_3d(x)[0]
     assert f > 1e-3
 
 
