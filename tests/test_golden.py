@@ -2,7 +2,9 @@
 came from Gauss-Legendre quadrature and the damping rate from Richardson
 differences (the sensitivity copy later, from the exact overlap slopes; the
 cat and Fock shift copies once the Doppler term came from the exact
-identity deltaP = (g tbar / 2) P_sym, as no earlier output exists).
+identity deltaP = (g tbar / 2) P_sym, as no earlier output exists; the
+optimize copy while the optimizer's gradient came from
+`real_fock_derivatives` and its reported |S| from `recoil_sensitivity`).
 
 Each numeric cell must agree with its golden value to 1e-10 of the largest
 magnitude in its column; everything else must agree exactly.  To recapture a
@@ -30,6 +32,7 @@ COMMANDS = {
                     'sensitivity.states=["vacuum","squeezed:1.44",'
                     '"cat:2.0","fock:2"]',
                     "--set", "sensitivity.mode=extended"],
+    "optimize": ["optimize", "--seed", "0", "--set", "optimize.restarts=2"],
 }
 REL = 1e-10
 
