@@ -19,13 +19,12 @@ from .metrology import (SensitivityResult, WorkingPoint, fisher_binary,
 from .pdeoracle import GridSpec, overlap_pde, overlap_pde_batch
 from .phasespace import (CatState, FockSuperposition, FPParams, GaussianState,
                          evolve_gaussian, overlap_after, overlap_gaussian,
-                         overlap_slopes, state_nbar, state_qfi)
+                         overlap_slopes)
 from .recoil import (DriftDiffusion, coefficients_with_slopes,
                      compute_coefficients, detuning_slopes)
 from .stateopt import (OptimizationProblem, OptimizationResult,
-                       SinglePhotonBudget, fock_sensitivity,
-                       optimize_fock_superposition, single_photon_budget,
-                       squeezing_db)
+                       SinglePhotonBudget, optimize_fock_superposition,
+                       single_photon_budget, squeezing_db)
 
 __version__ = "0.1.0"
 
@@ -41,10 +40,8 @@ __all__ = [
     "GridSpec", "overlap_pde", "overlap_pde_batch",
     "CatState", "FockSuperposition", "FPParams", "GaussianState",
     "evolve_gaussian", "overlap_after", "overlap_gaussian", "overlap_slopes",
-    "state_nbar", "state_qfi",
     "DriftDiffusion", "coefficients_with_slopes", "compute_coefficients",
     "detuning_slopes",
     "OptimizationProblem", "OptimizationResult", "SinglePhotonBudget",
-    "fock_sensitivity", "optimize_fock_superposition",
-    "single_photon_budget", "squeezing_db",
+    "optimize_fock_superposition", "single_photon_budget", "squeezing_db",
 ]

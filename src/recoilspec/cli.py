@@ -23,7 +23,7 @@ from .doppler import asymmetric_overlap, two_point_shift
 from .errors import ConfigError, ConvergenceError, RecoilSpecError
 from .metrology import recoil_sensitivity
 from .phasespace import (CatState, FockSuperposition, FPParams, GaussianState,
-                         overlap_after, state_qfi)
+                         overlap_after)
 from .recoil import compute_coefficients
 from .stateopt import (OptimizationProblem, optimize_fock_superposition,
                        single_photon_budget)
@@ -208,11 +208,11 @@ def write_table(out, fmt: str, cfg: dict, command: str,
 def _grid(lo: float, hi: float, n: int, log: bool = False) -> np.ndarray:
     if n < 1:
         raise ConfigError("grid needs at least one point")
+    if log and (lo <= 0 or hi <= 0):
+        raise ConfigError("log grid needs positive bounds")
     if n == 1:
         return np.array([0.5 * (lo + hi)])
     if log:
-        if lo <= 0 or hi <= 0:
-            raise ConfigError("log grid needs positive bounds")
         # 10**log10(hi) may overflow near the largest float; geomspace
         # then sets the endpoints to lo and hi exactly
         with np.errstate(over="ignore"):
@@ -333,7 +333,7 @@ def cmd_optimize(cfg: dict, seed: int):
     cols = ([f"c_{n}" for n in prob.basis]
             + ["s_abs", "nbar_used", "constraint_slack", "qfi"])
     rows = [[*(float(c) for c in res.coeffs), res.s_abs, res.nbar_used,
-             res.constraint_slack, state_qfi(state)]]
+             res.constraint_slack, state.qfi_displacement()]]
     return cols, rows
 
 

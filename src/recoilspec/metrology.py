@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NoCrossingError
-from .phasespace import FPParams, GaussianState, MotionalState, state_qfi
+from .phasespace import FPParams, GaussianState, MotionalState
 
 _LN2 = math.log(2.0)
 DEFAULT_EPS_MAX = 0.3
@@ -245,7 +245,8 @@ def recoil_sensitivity(state: MotionalState, epsilon: float,
     s_abs = abs(s_drift + s_diff)
     slope = t * (s_drift + s_diff) * dalpha_ddelta
     fisher = fisher_binary(p0, slope)
-    bound = qfi_sensitivity_bound(state_qfi(state), t, dalpha_ddelta)
+    bound = qfi_sensitivity_bound(state.qfi_displacement(), t,
+                                  dalpha_ddelta)
     return SensitivityResult(s_abs=s_abs, s_drift_term=s_drift,
                              s_diff_term=s_diff, fisher=fisher,
                              qfi_bound=bound, tstar=t)
@@ -301,15 +302,9 @@ def phase_mismatch_sensitivity(r: float, dphi: float, epsilon: float,
     probe's (both squeezed by r, drift-only definition)."""
     if r < 0.0:
         raise ConfigError("r must be non-negative")
-    _check_epsilon(epsilon, allow_large_epsilon)
     probe = GaussianState.squeezed(r, math.pi / 2)
     proj = GaussianState.squeezed(r, math.pi / 2 - dphi)
     # the overlap sees only probe.cov + proj.cov
     pair = GaussianState(np.zeros(2), 0.5 * (probe.cov + proj.cov))
-    d = epsilon * alpha
-
-    t_max = _MARCH_SPAN * math.exp(r) * math.sqrt(2.0 * _LN2) / alpha
-    tstar = find_root_tbar(_along_tbar(pair.slopes, alpha, d), p0,
-                           _march_step(probe, alpha), t_max)
-    # |S| = |dP/dalpha| / tstar = |dP/du|
-    return abs(float(pair.slopes(alpha * tstar, d * tstar)[1]))
+    return recoil_sensitivity(pair, epsilon, p0=p0, alpha=alpha,
+                              allow_large_epsilon=allow_large_epsilon).s_abs

@@ -10,10 +10,10 @@ Doppler damping g).  At g = 0 every overlap and its exact drift and
 diffusion slopes come from one route, the 1-D displacement fidelity: each
 state family's `slopes(u, v)` on arrays of points (closed forms for
 Gaussian and cat states, exact Gauss-Hermite quadrature for Fock
-superpositions), and `overlap_slopes` at one point.
-`real_fock_derivatives` adds, for a real Fock superposition at one point,
-the higher drift derivatives and the coefficient gradients that the
-probe-state optimizer needs.  Each family also owns what the working-point
+superpositions), and `overlap_slopes` at one point.  One kernel,
+`_fock_derivatives`, gives every Fock-superposition derivative: the slopes,
+and through `real_fock_derivatives` the higher drift derivatives and the
+coefficient gradients that the probe-state optimizer needs.  Each family also owns what the working-point
 march and the Doppler term need to know about it: `march_step`,
 `march_scale` and `reflection_symmetric`.
 """
@@ -217,7 +217,7 @@ class CatState:
 class FockSuperposition:
     """Finite superposition sum_n c_n |n>, truncated at n_max <= 64."""
 
-    __slots__ = ("coeffs", "_levels", "_vecs", "_tables")
+    __slots__ = ("coeffs", "_support", "_layout")
 
     MAX_N = 64
 
@@ -231,12 +231,9 @@ class FockSuperposition:
         if not abs(norm - 1.0) <= 1e-12:   # NaN included
             raise ConfigError("coefficients must be normalized to 1e-12")
         self.coeffs = coeffs
-        # the rows c and x c of the slopes, on the levels either one uses
-        c = np.append(coeffs, 0.0)          # room for x c one level up
-        vecs = np.array([c, _position_times(c)])
-        self._levels = np.flatnonzero(np.any(vecs != 0.0, axis=0))
-        self._vecs = vecs[:, self._levels]
-        self._tables = _level_tables(tuple(self._levels.tolist()))
+        levels = np.flatnonzero(coeffs)
+        self._support = coeffs[levels]
+        self._layout = _padded_levels(tuple(levels.tolist()), 2)
 
     @classmethod
     def from_dict(cls, entries: dict[int, complex]) -> "FockSuperposition":
@@ -276,48 +273,11 @@ class FockSuperposition:
         return 4.0 * (ex2 - ex**2)
 
     def slopes(self, u, v):
-        """(P, dP/du, dP/dv), exact.
-
-        G(y) = <psi|e^{iyx}|psi> is e^{-y^2/4} times a polynomial of degree
-        <= 2 n_max, so F = |G|^2 and its y-derivatives F', F'' are
-        e^{-y^2/2} times polynomials of degree <= 4 n_max + 2.  The envelope
-        folds into the kick distribution, E_{N(u,v)}[h] = (1+v)^{-1/2}
-        e^{-u^2/(2(1+v))} E_{z~N(u/(1+v), v/(1+v))}[h e^{z^2/2}], and
-        2 n_max + 2 probabilists' Gauss-Hermite nodes integrate the
-        remaining polynomials exactly.  The heat equation gives
-        dP/dv = E[F''] / 2.  Arrays u, v broadcast; their nodes form one
-        (points x nodes) grid.
-
-        G(-y) = conj G(y), so P is even in u and dP/du = 2u dP/dv(0, v)
-        + O(u^3).  Where u < 1e-8 sqrt(1 + v) the O(u^3) term, and the
-        O(u^2) difference between dP/dv(u, v) and dP/dv(0, v), are below
-        rounding, while the quadrature's O(1) terms of dP/du would cancel
-        to noise: there dP/du is read from that series.
-        """
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
-                                   np.asarray(v, dtype=float))
-        shape = u.shape
-        u, v = u.reshape(-1, 1), v.reshape(-1, 1)
-        idx, vecs = self._levels, self._vecs
-        z, wz = _folded_rule(2 * len(self.coeffs), u, v)
-        rows = max(1, _KICK_BUDGET // (z.shape[1] * len(idx) ** 2))
-        # g[..., i, j] = vecs_i^dag D vecs_j, with vecs = (c, x c)
-        g = np.concatenate([
-            np.einsum("ia,kab,jb->kij", np.conj(vecs),
-                      _kick_elements(self._tables, z[r:r + rows].ravel()),
-                      vecs)
-            for r in range(0, len(z), rows)]).reshape(*z.shape, 2, 2)
-        g0, g1, g2 = g[..., 0, 0], 1j * g[..., 1, 0], -g[..., 1, 1]
-        f0 = np.abs(g0) ** 2
-        f1 = 2.0 * np.real(np.conj(g0) * g1)
-        f2 = 2.0 * np.real(np.abs(g1) ** 2 + np.conj(g0) * g2)
-        # a (1 x nodes) @ (nodes x 1) product per point sums as a 1-D dot
-        p, p_u, p_v = ((wz[:, None] @ fk[..., None]).reshape(shape) * scale
-                       for fk, scale in ((f0, 1.0), (f1, 1.0), (f2, 0.5)))
-        series = (u * u < 1e-16 * (1.0 + v)).reshape(shape)
-        if np.count_nonzero(series):        # cheaper than .any()
-            p_u = np.where(series, 2.0 * u.reshape(shape) * p_v, p_u)[()]
-        return p, p_u, p_v
+        """(P, dP/du, dP/dv), exact: the first three u-derivatives of
+        `_fock_derivatives`, with dP/dv = (d^2P/du^2) / 2 by the heat
+        equation.  Arrays u, v broadcast."""
+        m = _fock_derivatives(self._layout, self._support, u, v, 2)
+        return m[0], m[1], 0.5 * m[2]
 
     def march_step(self, alpha: float) -> float:
         """A step that resolves the fastest oscillation, set by the top
@@ -459,31 +419,6 @@ def _folded_rule(n: int, u, v):
     return z, w * np.exp(0.5 * (z * z - u * u / den)) / np.sqrt(den)
 
 
-@lru_cache(maxsize=16)
-def _padded_levels(basis: tuple[int, ...]):
-    """What `real_fock_derivatives` needs of a basis: the places of its
-    levels among those it and its x c and x^2 c reach, their
-    `_level_tables`, the maps x^k (k = 0, 1, 2) from the basis
-    coefficients onto them, shape (3, levels, basis), and the node count
-    2 n_max + 3."""
-    levels = sorted({m for n in basis for m in range(max(n - 2, 0), n + 3)})
-    powers = np.zeros((3, levels[-1] + 1, len(basis)))
-    for i, n in enumerate(basis):
-        powers[0, n, i] = 1.0
-        for k in (1, 2):
-            powers[k, :, i] = _position_times(powers[k - 1, :, i])
-    return (np.searchsorted(levels, basis), _level_tables(tuple(levels)),
-            powers[:, levels], 2 * levels[-1] - 1)
-
-
-# G^(k) = i^k g[a, b] with a + b = k, and _LEIBNIZ[k, a, k - a] =
-# binomial(k, a): F^(k) = sum_a of it times conj(G^(a)) G^(k-a)
-_G_ROWS, _G_COLS = np.array([0, 0, 1, 1, 2]), np.array([0, 1, 1, 2, 2])
-_I_K = _I_POWERS[np.arange(5) % 4]
-_LEIBNIZ = np.array([[[math.comb(k, a) * (a + b == k) for b in range(5)]
-                      for a in range(5)] for k in range(5)], dtype=float)
-
-
 def _position_times(c: np.ndarray) -> np.ndarray:
     """x c in the Fock basis, from the two off-diagonals of the
     tridiagonal x = (a + a^dag) / sqrt2; slices keep this small product out
@@ -495,9 +430,105 @@ def _position_times(c: np.ndarray) -> np.ndarray:
     return xc
 
 
+@lru_cache(maxsize=16)
+def _padded_levels(basis: tuple[int, ...], order: int):
+    """The layout `_fock_derivatives` works on for the superpositions of a
+    basis, up to the u-derivative `order` (2 or 4): the places of the basis
+    levels among those the basis and its x^k c, k <= order/2, reach (each
+    level padded by order/2 on either side, whatever the values of c);
+    their `_level_tables`; the maps x^k from the basis coefficients onto
+    them, shape (order/2 + 1, levels, basis); and the node count
+    2 n_max + order/2 + 1 that integrates F^(order), of degree
+    4 n_max + order, exactly."""
+    pad = order // 2
+    levels = sorted({m for n in basis
+                     for m in range(max(n - pad, 0), n + pad + 1)})
+    powers = np.zeros((pad + 1, levels[-1] + 1, len(basis)))
+    for i, n in enumerate(basis):
+        powers[0, n, i] = 1.0
+        for k in range(1, pad + 1):
+            powers[k, :, i] = _position_times(powers[k - 1, :, i])
+    return (np.searchsorted(levels, basis), _level_tables(tuple(levels)),
+            powers[:, levels], 2 * max(basis) + pad + 1)
+
+
+# G^(k) = i^k g[a, b] with a + b = k, and _LEIBNIZ[k, a, k - a] =
+# binomial(k, a): F^(k) = sum_a of it times conj(G^(a)) G^(k-a)
+_G_ROWS, _G_COLS = np.array([0, 0, 1, 1, 2]), np.array([0, 1, 1, 2, 2])
+_I_K = _I_POWERS[np.arange(5) % 4]
+_LEIBNIZ = np.array([[[math.comb(k, a) * (a + b == k) for b in range(5)]
+                      for a in range(5)] for k in range(5)], dtype=float)
+
+
 # Complex elements per `_kick_elements` call: a block of points shares one
 # call up to this size; a dense 65-level state takes one call per point.
 _KICK_BUDGET = 2**20
+
+
+def _fock_derivatives(layout, c, u, v, order, grad=False):
+    """m[k] = d^k P/du^k for k = 0..order, exact, for the superposition
+    sum_i c_i |basis_i> on the `_padded_levels(basis, order)` layout.
+    Arrays u, v broadcast, and m has shape (order + 1, *shape).  With
+    `grad`, for real c, also dm[k, i] = d m[k]/dc_i for k <= order/2, of
+    shape (order/2 + 1, basis, *shape).
+
+    G(y) = <psi|e^{iyx}|psi> is e^{-y^2/4} times a polynomial of degree
+    <= 2 n_max, and its derivatives are G^(k) = i^k (x^a c)^dag D (x^b c),
+    a + b = k, for D = e^{iyx}, which commutes with x.  F = |G|^2 has
+    F^(k) = sum_a binomial(k, a) conj(G^(a)) G^(k-a) by the Leibniz rule:
+    e^{-y^2/2} times a polynomial of degree <= 4 n_max + k.  The envelope
+    folds into the kick distribution (`_folded_rule`), whose Gauss-Hermite
+    nodes integrate the rest exactly, so m[k] = E_{N(u,v)}[F^(k)].  For
+    real c the symmetric D gives dG^(k)/dc_i = 2 i^k (D x^k c)_i.  The
+    points' nodes share `_kick_elements` calls up to _KICK_BUDGET
+    elements each.
+
+    G(-y) = conj G(y), so P is even in u, and m[2j+1] = u m[2j+2] + O(u^3).
+    Where u < 1e-8 sqrt(1 + v) that O(u^3) term, and the O(u^2) change of
+    m[2j+2] from u = 0, are below rounding, while the quadrature's O(1)
+    terms of the odd derivatives would cancel to noise: there the odd
+    derivatives are read from that series.
+    """
+    rows, tables, powers, nodes = layout
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                               np.asarray(v, dtype=float))
+    shape = u.shape
+    u, v = u.reshape(-1, 1), v.reshape(-1, 1)
+    top, half = order + 1, len(powers)
+    # einsum keeps these small complex products out of BLAS, whose complex
+    # kernels alone add ~0.4 MB of resident memory to a process
+    vecs = np.einsum("kab,b->ka", powers, c)        # x^k c on the levels
+    z, wz = _folded_rule(nodes, u, v)
+    step = max(1, _KICK_BUDGET // (z.shape[1] * vecs.shape[1] ** 2))
+    gk, dgk = [], []
+    for r in range(0, len(z), step):
+        # h[z, :, b] = D x^b c and g[z, a, b] = (x^a c)^dag D x^b c
+        h = np.einsum("zab,kb->zak",
+                      _kick_elements(tables, z[r:r + step].ravel()), vecs)
+        g = np.einsum("ka,zab->zkb", np.conj(vecs), h)
+        gk.append(g[:, _G_ROWS[:top], _G_COLS[:top]])
+        if grad:
+            dgk.append(h[:, rows])
+    gk = np.concatenate(gk).reshape(*z.shape, top) * _I_K[:top]
+    wg = wz[..., None] * np.conj(gk)
+    m = np.einsum("kab,pza,pzb->kp", _LEIBNIZ[:top, :top, :top], wg,
+                  gk).real.reshape(top, *shape)
+    if grad:
+        # dG^(b)/dc_i = 2 i^b h[z, i, b], and conj(G^(a)) dG^(b) and its
+        # mirror term are complex conjugates
+        dgk = np.concatenate(dgk).reshape(*z.shape, len(rows), half)
+        dm = 4.0 * np.einsum("kab,pza,pzib->kip",
+                             _LEIBNIZ[:half, :half, :half], wg[..., :half],
+                             dgk * _I_K[:half]).real.reshape(
+                                 half, len(rows), *shape)
+    series = (u * u < 1e-16 * (1.0 + v)).reshape(shape)
+    if np.count_nonzero(series):        # cheaper than .any()
+        u = u.reshape(shape)
+        for k in range(1, order, 2):
+            m[k] = np.where(series, u * m[k + 1], m[k])
+            if grad and k + 1 < half:
+                dm[k] = np.where(series, u * dm[k + 1], dm[k])
+    return (m, dm) if grad else m
 
 
 def overlap_slopes(state: MotionalState, fp: FPParams):
@@ -523,34 +554,11 @@ def real_fock_derivatives(basis, c, u: float, v: float):
 
     Returns m with m[k] = d^k P/du^k for k = 0..4, so that, by the heat
     equation, dP/dv = m[2]/2, d2P/dudv = m[3]/2 and d2P/dv2 = m[4]/4; and
-    dm with dm[k, i] = d m[k]/dc_i for k = 0..2.  As in
-    `FockSuperposition.slopes`, m[k] = E[F^(k)] for F = |G|^2, by the
-    Leibniz rule from G^(k) = i^k (x^a c)^T D (x^b c), a + b = k, and the
-    symmetric D = e^{iyx} gives dG^(k)/dc = 2 i^k D x^k c.  The kick
-    elements span the basis levels padded by two on each side, where x^2 c
-    lives, whatever the values of c; F^(4) has degree 4 n_max + 4, so
-    2 n_max + 3 nodes are exact.  Where u < 1e-8 sqrt(1 + v) the odd
-    derivatives are read as m[2j+1] = u m[2j+2], the series `slopes` uses
-    for dP/du.
+    dm with dm[k, i] = d m[k]/dc_i for k = 0..2: the order-4 call of
+    `_fock_derivatives` with its coefficient gradient.
     """
-    rows, tables, powers, nodes = _padded_levels(tuple(basis))
-    vecs = powers @ c
-    z, wz = _folded_rule(nodes, u, v)
-    # h[z, :, b] = D x^b c and g[z, a, b] = (x^a c)^T D x^b c; einsum
-    # keeps these small complex products out of BLAS, whose complex
-    # kernels alone add ~0.4 MB of resident memory to a process
-    h = np.einsum("zab,kb->zak", _kick_elements(tables, z), vecs)
-    g = np.einsum("ia,zak->zik", vecs, h)
-    gk = g[:, _G_ROWS, _G_COLS] * _I_K             # [z, k] = G^(k)
-    dgk = 2.0 * _I_K[:3] * h[:, rows]              # [z, i, k] = dG^(k)/dc_i
-    wg = wz[:, None] * np.conj(gk)
-    m = np.einsum("kab,za,zb->k", _LEIBNIZ, wg, gk).real
-    # conj(G^(a)) dG^(b) and its mirror term are complex conjugates
-    dm = 2.0 * np.einsum("kab,za,zib->ki", _LEIBNIZ[:3, :3, :3], wg[:, :3],
-                         dgk).real
-    if u * u < 1e-16 * (1.0 + v):
-        m[1], m[3], dm[1] = u * m[2], u * m[4], u * dm[2]
-    return m, dm
+    return _fock_derivatives(_padded_levels(tuple(basis), 4), c, u, v, 4,
+                             grad=True)
 
 
 def overlap_after(state: MotionalState, fp: FPParams) -> float:
@@ -560,12 +568,3 @@ def overlap_after(state: MotionalState, fp: FPParams) -> float:
         return overlap_gaussian(state, evolve_gaussian(state, fp))
     return overlap_slopes(state, fp)[0]
 
-
-def state_nbar(state: MotionalState) -> float:
-    """Mean occupation number of any supported state."""
-    return state.nbar
-
-
-def state_qfi(state: MotionalState) -> float:
-    """QFI under momentum displacements, 4 Var(x) for pure states."""
-    return state.qfi_displacement()

@@ -17,8 +17,7 @@ from numpy.random import default_rng
 from .bloch import PulseParams
 from .errors import (ConfigError, ConvergenceError, NoCrossingError,
                      OptimizerError)
-from .metrology import (_hermite_newton, find_working_point,
-                        recoil_sensitivity)
+from .metrology import _hermite_newton, find_working_point
 from .phasespace import (FockSuperposition, GaussianState,
                          real_fock_derivatives)
 from .recoil import DriftDiffusion, compute_coefficients
@@ -203,16 +202,6 @@ def _minimize(fun, x0):
     return x, f, False
 
 
-def fock_sensitivity(prob: OptimizationProblem, c) -> float:
-    """|S| of the basis superposition with coefficients c (normalized)."""
-    c = np.asarray(c, dtype=float)
-    c = c / np.linalg.norm(c)
-    state = _state_from_coeffs(prob.basis, c)
-    res = recoil_sensitivity(state, prob.epsilon, p0=prob.p0, mode=prob.mode,
-                             allow_large_epsilon=True)
-    return res.s_abs
-
-
 def _signed_sensitivity(prob: OptimizationProblem, c: np.ndarray):
     """S of the basis superposition with normalized real coefficients c,
     and its gradient in c through the working point t*(c).
@@ -245,7 +234,7 @@ def optimize_fock_superposition(prob: OptimizationProblem,
     if len(prob.basis) == 1 or low == prob.nbar_max:
         # the lowest level is the only state within the bound
         c = (ns == low).astype(float)
-        s = fock_sensitivity(prob, c)
+        s = abs(_signed_sensitivity(prob, c)[0])
         return OptimizationResult(coeffs=c, s_abs=s, nbar_used=float(low),
                                   constraint_slack=prob.nbar_max - low,
                                   n_converged=1)
@@ -277,7 +266,7 @@ def optimize_fock_superposition(prob: OptimizationProblem,
     if len(nz) and c[nz[0]] < 0:
         c = -c
     nbar = float(ns @ c**2)
-    s_abs = fock_sensitivity(prob, c)
+    s_abs = abs(_signed_sensitivity(prob, c)[0])
     if s_abs < _GTOL:
         raise OptimizerError(f"best |S| = {s_abs:.3g} is below the gradient "
                              f"tolerance {_GTOL:g}: the objective is flat")

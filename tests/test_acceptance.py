@@ -22,7 +22,7 @@ from recoilspec import (CatState, FPParams, GaussianState, FockSuperposition,
                         compute_coefficients, fisher_binary, fisher_imperfect,
                         detuning_slopes, optimize_fock_superposition,
                         overlap_after, recoil_sensitivity,
-                        single_photon_budget, state_qfi, two_point_shift)
+                        single_photon_budget, two_point_shift)
 from recoilspec import pdeoracle
 
 NBAR4_R = math.asinh(2.0)
@@ -93,14 +93,14 @@ def test_criterion_4_qfi_suite(capsys):
             return overlap_after(state, FPParams(alpha=a, d=0.0, tbar=1.0))
         slope = (p(theta + h) - p(theta - h)) / (2 * h)
         f = fisher_binary(p(theta), slope)
-        checks.append((f"fisher->qfi {name} (0.1%)", within(f, state_qfi(state), 1e-3)))
+        checks.append((f"fisher->qfi {name} (0.1%)", within(f, state.qfi_displacement(), 1e-3)))
     prob = OptimizationProblem(basis=(2, 4), nbar_max=4.0, epsilon=1e-6)
     res = optimize_fock_superposition(prob, seed=0)
     c2, c4 = res.coeffs
     checks.append((f"optimal coeffs ({c2:.5f},{c4:.5f}) vs (0.5,{math.sqrt(3)/2:.5f}) +-1e-3",
                    abs(c2 - 0.5) <= 1e-3 and abs(c4 - math.sqrt(3) / 2) <= 1e-3))
     f24 = FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(3) / 2})
-    checks.append((f"QFI={state_qfi(f24):.8f} vs 22 +-1e-6", abs(state_qfi(f24) - 22.0) <= 1e-6))
+    checks.append((f"QFI={f24.qfi_displacement():.8f} vs 22 +-1e-6", abs(f24.qfi_displacement() - 22.0) <= 1e-6))
     report(capsys, "criterion 4 (QFI suite)", checks)
 
 

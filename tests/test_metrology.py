@@ -12,7 +12,7 @@ from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
                         GaussianState, NoCrossingError, fisher_binary,
                         fisher_imperfect, find_working_point, overlap_after,
                         phase_mismatch_sensitivity, qfi_sensitivity_bound,
-                        recoil_sensitivity, snr, state_qfi)
+                        recoil_sensitivity, snr)
 from recoilspec import metrology
 
 LN2 = math.log(2.0)
@@ -270,15 +270,15 @@ def test_fisher_approaches_qfi_for_small_displacement():
     for state in [GaussianState.vacuum(), GaussianState.squeezed(1.0),
                   FockSuperposition.fock(2), CatState(2.0)]:
         f = _fisher_displacement_limit(state)
-        assert f == pytest.approx(state_qfi(state), rel=1e-3)
+        assert f == pytest.approx(state.qfi_displacement(), rel=1e-3)
 
 
 def test_qfi_closed_forms():
-    assert state_qfi(GaussianState.vacuum()) == pytest.approx(2.0)
-    assert state_qfi(GaussianState.squeezed(1.0)) == pytest.approx(2.0 * math.e**2)
-    assert state_qfi(FockSuperposition.fock(2)) == pytest.approx(10.0)
+    assert GaussianState.vacuum().qfi_displacement() == pytest.approx(2.0)
+    assert GaussianState.squeezed(1.0).qfi_displacement() == pytest.approx(2.0 * math.e**2)
+    assert FockSuperposition.fock(2).qfi_displacement() == pytest.approx(10.0)
     f24 = FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(3) / 2})
-    assert state_qfi(f24) == pytest.approx(22.0, abs=1e-12)
+    assert f24.qfi_displacement() == pytest.approx(22.0, abs=1e-12)
 
 
 def test_qfi_bound_plugin():
@@ -304,7 +304,7 @@ def test_cramer_rao_chain():
     # binary-measurement information never exceeds the quantum limit
     for state in [GaussianState.vacuum(), GaussianState.squeezed(0.8),
                   FockSuperposition.fock(2)]:
-        fq = state_qfi(state)
+        fq = state.qfi_displacement()
         for theta in [1e-3, 0.3, 0.8]:
             def p(a):
                 return overlap_after(state, FPParams(alpha=a, d=0.0, tbar=1.0))

@@ -112,3 +112,41 @@ def test_only_phasespace_branches_on_the_state_family():
                 types = {getattr(n, "id", getattr(n, "attr", None))
                          for n in ast.walk(node.args[1])}
                 assert not types & _FAMILIES, (name, ast.unparse(node))
+
+
+def _callers(tree, callee):
+    """Names of the functions (methods as Class.method) of a module that
+    call `callee`, by plain or attribute name; '<module>' for a call at
+    module level."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = child.name if owner == "<module>" else \
+                    f"{owner}.{child.name}"
+                visit(child, name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and callee in (getattr(child.func, "id", None),
+                                   getattr(child.func, "attr", None))):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("callee, caller", [
+    ("_kick_elements", "_fock_derivatives"),
+    ("_folded_rule", "_fock_derivatives"),
+    ("find_root_tbar", "find_working_point"),
+])
+def test_merged_routes_keep_one_caller(callee, caller):
+    # every Fock-superposition derivative comes from one quadrature kernel,
+    # and every working point from one march
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        callers |= _callers(ast.parse(path.read_text()), callee)
+    assert callers == {caller}

@@ -11,10 +11,10 @@ from scipy.special import eval_genlaguerre, gammaln
 from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
                         GaussianState, UnsupportedDampingError,
                         evolve_gaussian, find_working_point, overlap_after,
-                        overlap_gaussian, overlap_slopes, state_nbar,
-                        state_qfi)
+                        overlap_gaussian, overlap_slopes)
 from recoilspec.phasespace import (_hermite_e_rule, _kick_elements,
-                                   _level_tables, _position_times)
+                                   _level_tables, _position_times,
+                                   real_fock_derivatives)
 
 SQRT2 = math.sqrt(2.0)
 LN2 = math.log(2.0)
@@ -236,8 +236,8 @@ def test_cat_characteristic_matches_fock_expansion():
     chi_f = characteristic_function(fock_cat, k1, k2)
     chi_c = cat_characteristic_function(cat, k1, k2)
     assert np.max(np.abs(chi_f - chi_c)) < 1e-12
-    assert state_nbar(cat) == pytest.approx(state_nbar(fock_cat), abs=1e-12)
-    assert state_qfi(cat) == pytest.approx(state_qfi(fock_cat), abs=1e-10)
+    assert cat.nbar == pytest.approx(fock_cat.nbar, abs=1e-12)
+    assert cat.qfi_displacement() == pytest.approx(fock_cat.qfi_displacement(), abs=1e-10)
 
 
 def test_fock_ground_state_matches_vacuum():
@@ -352,6 +352,34 @@ def test_fock_slopes_equal_the_loop_formulation(levels, u, v):
                                rtol=1e-11, atol=1e-12)
 
 
+REAL_SUPERPOSITIONS = [((2, 4), (0.5, math.sqrt(0.75))),
+                       ((0, 1, 3), (0.48, -0.6, 0.64)),
+                       ((1, 2, 3, 5), (0.1, 0.7, -0.5, 0.5))]
+
+
+@pytest.mark.parametrize("basis, c", REAL_SUPERPOSITIONS,
+                         ids=["2+4", "0+1+3", "1+2+3+5"])
+@pytest.mark.parametrize("u", [0.0, 1e-12, 0.3, 1.3])
+@pytest.mark.parametrize("v", [0.0, 0.3])
+def test_real_fock_derivatives_extend_the_slopes(basis, c, u, v):
+    # m[0..2] are the slopes' (P, P_u, 2 P_v) on another level layout and
+    # node count; m[3] and m[4] are the u-slopes of m[2] and m[3]
+    m, _ = real_fock_derivatives(basis, np.array(c), u, v)
+    scale = np.max(np.abs(m))
+    p, p_u, p_v = FockSuperposition.from_dict(dict(zip(basis, c))).slopes(u, v)
+    assert np.max(np.abs(m[:3] - [p, p_u, 2.0 * p_v])) <= 1e-13 * scale
+    h = 1e-5
+    central = [(real_fock_derivatives(basis, np.array(c), u + h, v)[0][k - 1]
+                - real_fock_derivatives(basis, np.array(c), u - h, v)[0][k - 1])
+               / (2.0 * h) for k in (3, 4)]
+    assert abs(m[3] - central[0]) <= 1e-8 * scale
+    assert abs(m[4] - central[1]) <= 1e-8 * scale
+    if u * u < 1e-16 * (1.0 + v):
+        # the series m[3] = u m[4], against a difference taken where u +- h
+        # lies outside it
+        assert m[3] == pytest.approx(u * central[1], rel=1e-8, abs=0.0)
+
+
 @pytest.mark.parametrize("dense", [False, True], ids=["fock64", "dense65"])
 def test_position_slices_equal_the_dense_product(dense):
     # a dense product may fuse a multiply-add, so the two can differ by
@@ -376,26 +404,26 @@ def test_squeezed_covariance_is_diagonal_at_the_default_phase():
 
 
 def test_nbar_and_qfi_closed_forms():
-    assert state_nbar(GaussianState.vacuum()) == pytest.approx(0.0, abs=1e-14)
+    assert GaussianState.vacuum().nbar == pytest.approx(0.0, abs=1e-14)
     r = 1.1
-    assert state_nbar(GaussianState.squeezed(r)) == pytest.approx(
+    assert GaussianState.squeezed(r).nbar == pytest.approx(
         math.sinh(r) ** 2, abs=1e-12)
-    assert state_qfi(GaussianState.squeezed(r)) == pytest.approx(
+    assert GaussianState.squeezed(r).qfi_displacement() == pytest.approx(
         2.0 * math.exp(2 * r), rel=1e-12)
     for n in [0, 2, 5]:
-        assert state_qfi(FockSuperposition.fock(n)) == pytest.approx(
+        assert FockSuperposition.fock(n).qfi_displacement() == pytest.approx(
             2.0 * (2 * n + 1), rel=1e-12)
-        assert state_nbar(FockSuperposition.fock(n)) == pytest.approx(n, abs=1e-12)
+        assert FockSuperposition.fock(n).nbar == pytest.approx(n, abs=1e-12)
     beta = 2.0
     n2 = 1.0 / (2.0 + 2.0 * math.exp(-2 * beta**2))
-    assert state_qfi(CatState(beta)) == pytest.approx(
+    assert CatState(beta).qfi_displacement() == pytest.approx(
         2.0 * (1.0 + 8.0 * beta**2 * n2), rel=1e-12)
-    assert state_nbar(CatState(beta)) == pytest.approx(
+    assert CatState(beta).nbar == pytest.approx(
         beta**2 * math.tanh(beta**2), rel=1e-12)
     c2, c4 = 0.5, math.sqrt(3) / 2
     f24 = FockSuperposition.from_dict({2: c2, 4: c4})
     expected = 2.0 * (1.0 + 4 * c2**2 + 2 * math.sqrt(12) * c2 * c4 + 8 * c4**2)
-    assert state_qfi(f24) == pytest.approx(expected, rel=1e-12)
+    assert f24.qfi_displacement() == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(22.0, abs=1e-12)
 
 
