@@ -13,9 +13,9 @@ Gaussian and cat states, exact Gauss-Hermite quadrature for Fock
 superpositions), and `overlap_slopes` at one point.  One kernel,
 `_fock_derivatives`, gives every Fock-superposition derivative: the slopes,
 and through `real_fock_derivatives` the higher drift derivatives and the
-coefficient gradients that the probe-state optimizer needs.  Each family also owns what the working-point
-march and the Doppler term need to know about it: `march_step`,
-`march_scale` and `reflection_symmetric`.
+coefficient gradients that the probe-state optimizer needs.  Each family
+also owns what the working-point march and the Doppler term need to know
+about it: `march_step`, `march_scale` and `reflection_symmetric`.
 """
 
 from __future__ import annotations
@@ -419,17 +419,6 @@ def _folded_rule(n: int, u, v):
     return z, w * np.exp(0.5 * (z * z - u * u / den)) / np.sqrt(den)
 
 
-def _position_times(c: np.ndarray) -> np.ndarray:
-    """x c in the Fock basis, from the two off-diagonals of the
-    tridiagonal x = (a + a^dag) / sqrt2; slices keep this small product out
-    of BLAS, whose threads cost more than it."""
-    off = np.sqrt(np.arange(1, len(c)) / 2.0)
-    xc = np.zeros_like(c)
-    xc[:-1] = off * c[1:]
-    xc[1:] += off * c[:-1]
-    return xc
-
-
 @lru_cache(maxsize=16)
 def _padded_levels(basis: tuple[int, ...], order: int):
     """The layout `_fock_derivatives` works on for the superpositions of a
@@ -458,6 +447,17 @@ _G_ROWS, _G_COLS = np.array([0, 0, 1, 1, 2]), np.array([0, 1, 1, 2, 2])
 _I_K = _I_POWERS[np.arange(5) % 4]
 _LEIBNIZ = np.array([[[math.comb(k, a) * (a + b == k) for b in range(5)]
                       for a in range(5)] for k in range(5)], dtype=float)
+
+
+def _position_times(c: np.ndarray) -> np.ndarray:
+    """x c in the Fock basis, from the two off-diagonals of the
+    tridiagonal x = (a + a^dag) / sqrt2; slices keep this small product out
+    of BLAS, whose threads cost more than it."""
+    off = np.sqrt(np.arange(1, len(c)) / 2.0)
+    xc = np.zeros_like(c)
+    xc[:-1] = off * c[1:]
+    xc[1:] += off * c[:-1]
+    return xc
 
 
 # Complex elements per `_kick_elements` call: a block of points shares one
@@ -567,4 +567,3 @@ def overlap_after(state: MotionalState, fp: FPParams) -> float:
     if isinstance(state, GaussianState) and fp.g != 0.0:
         return overlap_gaussian(state, evolve_gaussian(state, fp))
     return overlap_slopes(state, fp)[0]
-
