@@ -26,7 +26,6 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import ConfigError, UnsupportedDampingError
 
@@ -399,10 +398,35 @@ def _kick_elements(tables, z: np.ndarray) -> np.ndarray:
     return dmat * factor
 
 
+def _normed_hermite_e(x, n: int):
+    """He_n(x) / sqrt(sqrt(2 pi) n!) by the normalised three-term
+    recurrence, run downwards in the degree as numpy.polynomial does."""
+    c0, c1 = 0.0, 1.0 / math.sqrt(math.sqrt(2.0 * math.pi))
+    if n == 0:
+        return np.full(x.shape, c1)
+    nd = float(n)
+    for _ in range(n - 1):
+        c0, c1 = (-c1 * math.sqrt((nd - 1.0) / nd),
+                  c0 + c1 * x * math.sqrt(1.0 / nd))
+        nd -= 1.0
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=16)
 def _hermite_e_rule(n: int):
-    """Probabilists' Gauss-Hermite nodes and weights normalised to N(0, 1)."""
-    z, w = hermegauss(n)
+    """Probabilists' Gauss-Hermite nodes and weights normalised to N(0, 1),
+    with the bits of numpy.polynomial.hermite_e.hermegauss(n): eigenvalues
+    of the symmetric tridiagonal companion matrix, one Newton step, and
+    weights 1/He_{n-1}^2, symmetrised."""
+    z = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, n)), -1))
+    z -= _normed_hermite_e(z, n) / (_normed_hermite_e(z, n - 1)
+                                    * math.sqrt(n))
+    fm = _normed_hermite_e(z, n - 1)
+    fm /= np.abs(fm).max()
+    w = 1.0 / (fm * fm)
+    w = (w + w[::-1]) / 2.0
+    z = (z - z[::-1]) / 2.0
+    w *= math.sqrt(2.0 * math.pi) / w.sum()
     return z, w / math.sqrt(2.0 * math.pi)
 
 

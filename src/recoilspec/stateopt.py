@@ -9,10 +9,10 @@ scattered photon on average moves the overlap to the working point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .bloch import PulseParams
 from .errors import (ConfigError, ConvergenceError, NoCrossingError,
@@ -32,6 +32,14 @@ _FTOL = 1e-12
 _MAX_ITER = 200       # iterations before a restart ends as not converged
 _ARMIJO = 1e-4        # sufficient-decrease constant of the line search
 _MAX_HALVINGS = 30    # backtracking halvings before the line search fails
+_PLATEAU = 1e3        # objective of a point without a working point
+
+# NumPy's SeedSequence hash constants, and the PCG64 multiplier
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = (0x43B0D7E5, 0x931E8875, 0x8B51F9DD,
+                                      0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,67 @@ class SinglePhotonBudget:
 def squeezing_db(r: float) -> float:
     """Squeezing strength in dB, 10 log10 of the variance ratio e^{2r}."""
     return 10.0 * math.log10(math.exp(2.0 * r))
+
+
+def _seed_state(seed: int) -> list[int]:
+    """numpy.random.SeedSequence(seed).generate_state(4, np.uint64) for a
+    non-negative integer seed: its 32-bit words hashed into a pool of four,
+    then eight words hashed out of the pool, paired low word first."""
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, out = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniform_angles(seed, count: int) -> np.ndarray:
+    """The first `count` draws of numpy.random.default_rng(seed).uniform(
+    0, pi), bit for bit: PCG64 (XSL-RR 128/64) seeded through NumPy's
+    SeedSequence, each double (next64 >> 11) 2^-53 times pi."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    s = _seed_state(seed)
+    initstate, initseq = s[0] << 64 | s[1], s[2] << 64 | s[3]
+    inc = (initseq << 1 | 1) & _MASK128
+    state = (inc + initstate) * _PCG_MULT + inc & _MASK128
+    out = []
+    for _ in range(count):
+        state = state * _PCG_MULT + inc & _MASK128
+        word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        word = (word >> rot | word << (64 - rot)) & _MASK64
+        out.append((word >> 11) * 2.0 ** -53 * math.pi)
+    return np.array(out, dtype=float)
 
 
 def _hypersphere(angles: np.ndarray):
@@ -229,6 +298,8 @@ def optimize_fock_superposition(prob: OptimizationProblem,
                                 n_restarts: int = 8,
                                 seed: int = 0) -> OptimizationResult:
     """Best-found coefficients maximizing |S| subject to nbar <= nbar_max."""
+    dim = len(prob.basis) - 1
+    starts = _uniform_angles(seed, n_restarts * dim)   # checks the seed
     ns = np.asarray(prob.basis, dtype=float)
     low = min(prob.basis)
     if len(prob.basis) == 1 or low == prob.nbar_max:
@@ -238,7 +309,6 @@ def optimize_fock_superposition(prob: OptimizationProblem,
         return OptimizationResult(coeffs=c, s_abs=s, nbar_used=float(low),
                                   constraint_slack=prob.nbar_max - low,
                                   n_converged=1)
-    rng = default_rng(seed)
     coeffs_of = _feasible_coeffs(prob)
 
     def objective(angles):
@@ -246,27 +316,29 @@ def optimize_fock_superposition(prob: OptimizationProblem,
         try:
             s, ds = _signed_sensitivity(prob, c)
         except NoCrossingError:
-            return 1e3, np.zeros(len(angles))
+            return _PLATEAU, np.zeros(len(angles))
         return -abs(s), -math.copysign(1.0, s) * (ds @ jac)
 
     best = None
     n_converged = 0
-    dim = len(prob.basis) - 1
-    starts = [rng.uniform(0.0, math.pi, size=dim) for _ in range(n_restarts)]
-    for x0 in starts:
+    for x0 in starts.reshape(-1, dim):
         x, f, converged = _minimize(objective, x0)
         n_converged += converged
         if best is None or f < best[1]:
             best = (x, f)
     if n_converged == 0:
         raise OptimizerError("no restart reached the gradient tolerance")
+    if best[1] == _PLATEAU:
+        raise NoCrossingError(f"no restart reached the working point "
+                              f"P = {prob.p0} at epsilon = {prob.epsilon}")
     c = coeffs_of(best[0])[0]
     # canonical sign: first nonzero coefficient positive
     nz = np.flatnonzero(np.abs(c) > 1e-12)
     if len(nz) and c[nz[0]] < 0:
         c = -c
     nbar = float(ns @ c**2)
-    s_abs = abs(_signed_sensitivity(prob, c)[0])
+    # |S| of the best restart's c, which the sign flip leaves unchanged
+    s_abs = -best[1]
     if s_abs < _GTOL:
         raise OptimizerError(f"best |S| = {s_abs:.3g} is below the gradient "
                              f"tolerance {_GTOL:g}: the objective is flat")

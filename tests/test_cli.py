@@ -154,6 +154,7 @@ def test_long_pulse_coeffs_exit_0_with_finite_rows():
       "--set", "optimize.nbar_max=1"], 2),
     (["sensitivity", "--set", "sensitivity.points=1",
       "--set", "sensitivity.epsilon_min=-1"], 2),
+    (["optimize", "--seed", "-1"], 2),
 ])
 def test_non_finite_inputs_and_outputs_exit_cleanly(args, code):
     proc = run_cli(*args)

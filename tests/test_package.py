@@ -38,17 +38,28 @@ def _imported_modules(nodes):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
+# Modules the package never imports, by dotted prefix: scipy and numpy's
+# random and polynomial subpackages serve the tests as oracles only.
+_ORACLES = ("scipy", "numpy.random", "numpy.polynomial")
+
+
+def _is_oracle(name):
+    return any(name == p or name.startswith(p + ".") for p in _ORACLES)
+
+
 def test_no_module_imports_scipy():
     # the package's dense kernels (expm, its Frechet derivative, the
-    # Laguerre elements, the banded solve) and its root finding and
-    # optimizer are its own; scipy serves the tests as an oracle
+    # Laguerre elements, the banded solve), its root finding, optimizer,
+    # seeded start angles and Gauss-HermiteE rule are its own
     modules = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "pdeoracle.py" in modules
     for path in modules:
         text = path.read_text()
         assert "brentq" not in text, path.name
+        for word in ("np.random", "np.polynomial"):
+            assert word not in text, (path.name, word)
         for name in _imported_modules(ast.walk(ast.parse(text))):
-            assert name.split(".")[0] != "scipy", (path.name, name)
+            assert not _is_oracle(name), (path.name, name)
 
 
 def _run_python(*args):
@@ -62,33 +73,36 @@ def _run_python(*args):
 
 def test_importing_the_package_loads_no_scipy():
     proc = _run_python("-c", "import sys, recoilspec, recoilspec.cli; "
-                       "print(sorted(m for m in sys.modules "
-                       "if m.split('.')[0] == 'scipy'))")
+                       f"prefixes = {_ORACLES!r}; "
+                       "print(sorted(m for m in sys.modules if any("
+                       "m == p or m.startswith(p + '.') for p in prefixes)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-# Runs the CLI with every scipy import refused, as if scipy were not
-# installed.
-_NO_SCIPY = """
+# Runs the CLI with every import of an oracle module refused, as if scipy
+# and numpy's random and polynomial subpackages were not installed.
+_NO_SCIPY = f"""
 import sys
 from importlib.abc import MetaPathFinder
 
-class RefuseScipy(MetaPathFinder):
+class RefuseOracles(MetaPathFinder):
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ModuleNotFoundError(f"No module named {name!r}")
+        if any(name == p or name.startswith(p + ".") for p in {_ORACLES!r}):
+            raise ModuleNotFoundError(f"No module named {{name!r}}")
         return None
 
-sys.meta_path.insert(0, RefuseScipy())
+sys.meta_path.insert(0, RefuseOracles())
 from recoilspec.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("command", ["oracle-check", "shift"])
+@pytest.mark.parametrize("command", [
+    "oracle-check", "shift", "optimize --set optimize.restarts=2",
+    "sensitivity --set sensitivity.states=[\"fock:2\"]"])
 def test_cli_runs_without_scipy(command):
-    proc = _run_python("-c", _NO_SCIPY, command)
+    proc = _run_python("-c", _NO_SCIPY, *command.split())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import eval_genlaguerre, gammaln
 
 from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
@@ -391,6 +392,16 @@ def test_position_slices_equal_the_dense_product(dense):
     want = _dense_position_times(c)
     assert np.linalg.norm(_position_times(c) - want) <= \
         1e-15 * np.linalg.norm(want)
+
+
+def test_hermite_e_rule_has_the_bits_of_numpy_hermegauss():
+    # the package builds the rule itself to keep numpy.polynomial off its
+    # import path; the Fock kernel asks for up to 2 n_max + 3 nodes
+    for n in range(1, 141):
+        z, w = _hermite_e_rule.__wrapped__(n)
+        z_ref, w_ref = hermegauss(n)
+        assert np.array_equal(z, z_ref), n
+        assert np.array_equal(w, w_ref / math.sqrt(2.0 * math.pi)), n
 
 
 def test_squeezed_covariance_is_diagonal_at_the_default_phase():

@@ -11,7 +11,7 @@ from recoilspec import (CatState, ConfigError, FockSuperposition,
                         recoil_sensitivity, single_photon_budget,
                         squeezing_db, stateopt)
 from recoilspec.stateopt import (_feasible_coeffs, _minimize,
-                                 _signed_sensitivity)
+                                 _signed_sensitivity, _uniform_angles)
 
 # |S| of the best (2, 4) superposition at epsilon = 0.1 and nbar <= 4
 S_24 = 1.6147542274987
@@ -70,6 +70,47 @@ def test_flat_objective_is_refused():
         optimize_fock_superposition(prob, n_restarts=1)
 
 
+def test_start_angles_are_numpy_default_rng_draws():
+    # PCG64 seeded through SeedSequence, as numpy.random.default_rng(seed),
+    # for seeds of one to four 32-bit words and beyond; consecutive calls
+    # continue one stream
+    for seed in [*range(2001), 2**32 - 1, 2**32, 2**64 + 5,
+                 12345678901234567890123, 2**160 + 3]:
+        rng = np.random.default_rng(seed)
+        want = np.concatenate([rng.uniform(0.0, math.pi, size=k)
+                               for k in range(1, 6)])
+        assert np.array_equal(_uniform_angles(seed, 15), want), seed
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, "0", None])
+def test_start_angles_refuse_a_seed_that_is_no_non_negative_integer(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        _uniform_angles(seed, 2)
+
+
+@pytest.mark.parametrize("basis, nbar_max", [((2, 4), 4.0),
+                                             ((1, 2, 3, 5), 3.0)])
+def test_optimizer_keeps_the_bits_of_numpy_start_angles(basis, nbar_max,
+                                                        monkeypatch):
+    prob = OptimizationProblem(basis=basis, nbar_max=nbar_max, epsilon=0.1)
+    got = [optimize_fock_superposition(prob, n_restarts=2, seed=seed)
+           for seed in range(6)]
+    monkeypatch.setattr(stateopt, "_uniform_angles", lambda seed, n:
+                        np.random.default_rng(seed).uniform(0.0, math.pi, n))
+    for seed, a in enumerate(got):
+        b = optimize_fock_superposition(prob, n_restarts=2, seed=seed)
+        assert np.array_equal(a.coeffs, b.coeffs) and a.s_abs == b.s_abs
+        assert (a.nbar_used, a.n_converged) == (b.nbar_used, b.n_converged)
+
+
+def test_restarts_that_all_miss_the_working_point_raise_no_crossing():
+    # at p0 = 1e-30 and eps = 10 the overlap of every (2, 4) state stays
+    # above p0 over the whole march: each restart ends on the plateau
+    prob = OptimizationProblem(basis=(2, 4), epsilon=10.0, p0=1e-30)
+    with pytest.raises(NoCrossingError, match="working point"):
+        optimize_fock_superposition(prob, n_restarts=2)
+
+
 def test_optimizer_deterministic():
     prob = OptimizationProblem(basis=(2, 4), nbar_max=4.0, epsilon=0.1)
     a = optimize_fock_superposition(prob, seed=7)
@@ -113,7 +154,7 @@ def test_pinned_two_level_optimum_matches_a_golden_section_search():
         [math.cos(theta), math.sin(theta)], abs=1e-7)
 
 
-def test_probe_states_problem_evaluates_the_sensitivity_at_most_12_times(
+def test_probe_states_problem_evaluates_the_sensitivity_at_most_11_times(
         monkeypatch):
     # each sensitivity evaluation, with or without its gradient, solves
     # for one working point
@@ -128,7 +169,7 @@ def test_probe_states_problem_evaluates_the_sensitivity_at_most_12_times(
     prob = OptimizationProblem(basis=(2, 4), nbar_max=4.0, epsilon=0.1)
     res = optimize_fock_superposition(prob, n_restarts=2, seed=0)
     assert res.s_abs == pytest.approx(S_24, rel=1e-12)
-    assert len(calls) <= 12
+    assert len(calls) <= 11
 
 
 def _central_difference(fun, x, h=1e-5):
