@@ -418,6 +418,7 @@ def _hermite_e_rule(n: int):
     with the bits of numpy.polynomial.hermite_e.hermegauss(n): eigenvalues
     of the symmetric tridiagonal companion matrix, one Newton step, and
     weights 1/He_{n-1}^2, symmetrised."""
+    # eigvalsh reads the lower triangle only
     z = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, n)), -1))
     z -= _normed_hermite_e(z, n) / (_normed_hermite_e(z, n - 1)
                                     * math.sqrt(n))
@@ -426,6 +427,7 @@ def _hermite_e_rule(n: int):
     w = 1.0 / (fm * fm)
     w = (w + w[::-1]) / 2.0
     z = (z - z[::-1]) / 2.0
+    # scaled to sum to sqrt(2 pi) first, as hermegauss, for its bits
     w *= math.sqrt(2.0 * math.pi) / w.sum()
     return z, w / math.sqrt(2.0 * math.pi)
 

@@ -297,7 +297,10 @@ def _signed_sensitivity(prob: OptimizationProblem, c: np.ndarray):
 def optimize_fock_superposition(prob: OptimizationProblem,
                                 n_restarts: int = 8,
                                 seed: int = 0) -> OptimizationResult:
-    """Best-found coefficients maximizing |S| subject to nbar <= nbar_max."""
+    """Best-found coefficients maximizing |S| subject to nbar <= nbar_max.
+
+    The restarts start from the angles numpy.random.default_rng(seed)
+    would draw; seed must be a non-negative integer."""
     dim = len(prob.basis) - 1
     starts = _uniform_angles(seed, n_restarts * dim)   # checks the seed
     ns = np.asarray(prob.basis, dtype=float)

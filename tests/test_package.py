@@ -82,7 +82,7 @@ def test_importing_the_package_loads_no_scipy():
 
 # Runs the CLI with every import of an oracle module refused, as if scipy
 # and numpy's random and polynomial subpackages were not installed.
-_NO_SCIPY = f"""
+_REFUSE_ORACLES = f"""
 import sys
 from importlib.abc import MetaPathFinder
 
@@ -102,7 +102,7 @@ sys.exit(main(sys.argv[1:]))
     "oracle-check", "shift", "optimize --set optimize.restarts=2",
     "sensitivity --set sensitivity.states=[\"fock:2\"]"])
 def test_cli_runs_without_scipy(command):
-    proc = _run_python("-c", _NO_SCIPY, *command.split())
+    proc = _run_python("-c", _REFUSE_ORACLES, *command.split())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 
