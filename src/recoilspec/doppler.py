@@ -72,11 +72,7 @@ def two_point_shift(state: MotionalState, pulse: PulseParams,
         raise ConfigError("drift must be positive at the chosen detuning")
     tstar = find_working_point(state, d0 / alpha0, p0=p0, alpha=alpha0,
                                allow_large_epsilon=True).tstar
-    if abs(coeffs.g * tstar) > MAX_GTBAR:
-        raise PerturbativeRegimeError(
-            f"|g tbar*| = {abs(coeffs.g * tstar):.3g} beyond perturbative "
-            "range")
-
+    # asymmetric_overlap refuses |g t*| > MAX_GTBAR before any work
     p_sym, delta_p, c = asymmetric_overlap(
         state, FPParams(alpha=alpha0, d=d0, tbar=tstar, g=coeffs.g))
     _, dp_da, dp_dd = overlap_slopes(

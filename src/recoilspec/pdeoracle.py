@@ -31,6 +31,10 @@ from .phasespace import (CatState, FockSuperposition, FPParams, GaussianState,
 # largest are dropped: rounding noise for the built-in families, and far
 # below the scheme's discretisation error for a rotated squeezed state.
 _SVD_RTOL = 1e-13
+# How far from 1 the initial Wigner mass on the grid may lie.
+_MASS_TOL = 1e-6
+# Half-width of the y grid of the Fock Wigner transform.
+_Y_HALF = 6.0
 
 
 @dataclass(frozen=True)
@@ -103,16 +107,16 @@ def _fock_wavefunction(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def wigner_fock(f: FockSuperposition, x, p, ny: int = 512,
-                y_half: float = 6.0):
-    """W(x, p) = (1/pi) int dy h(x, y) e^{-2ipy}, h = psi(x+y) conj(psi(x-y)).
+def wigner_fock(f: FockSuperposition, x, p, ny: int = 512):
+    """W(x, p) = (1/pi) int dy h(x, y) e^{-2ipy}, h = psi(x+y) conj(psi(x-y)),
+    on ny nodes over |y| <= _Y_HALF.
 
     h(x, -y) = conj h(x, y), so the sum over the symmetric y grid is twice
     the real sum over its y > 0 half, Re h cos(2py) + Im h sin(2py), with
     the y = 0 node of an odd grid counted once.  Real coefficients make
     Im h exactly 0, and the sine term is skipped.
     """
-    y = np.linspace(-y_half, y_half, ny)
+    y = np.linspace(-_Y_HALF, _Y_HALF, ny)
     weight = np.full(ny - ny // 2, 2.0 * (y[1] - y[0]) / math.pi)
     if ny % 2:
         weight[0] *= 0.5
@@ -371,17 +375,14 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
 
 def overlap_pde(state: MotionalState, fp: FPParams,
                 grid: GridSpec | None = None,
-                n_steps: int | None = None,
-                mass_tol: float = 1e-6) -> float:
+                n_steps: int | None = None) -> float:
     """Remain probability via grid propagation of the Wigner function."""
-    return overlap_pde_batch(state, [fp], grid=grid, n_steps=n_steps,
-                             mass_tol=mass_tol)[0]
+    return overlap_pde_batch(state, [fp], grid=grid, n_steps=n_steps)[0]
 
 
 def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
                       grid: GridSpec | None = None,
-                      n_steps: int | None = None,
-                      mass_tol: float = 1e-6) -> list[float]:
+                      n_steps: int | None = None) -> list[float]:
     """Remain probabilities for several drift/diffusion settings.
 
     The grid and initial Wigner function are built once; without an explicit
@@ -390,7 +391,8 @@ def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
     momentum factors V are propagated, W(t) = U S V(t), and the trapezoidal
     overlap and mass contract exactly through the small factor matrices.
     An explicit `n_steps` is the fine run's step count (see `propagate`);
-    both runs must keep the mass on the grid.
+    both runs must keep the mass on the grid, and the initial Wigner mass
+    must lie within _MASS_TOL of 1.
     """
     if not fps:
         return []
@@ -405,9 +407,9 @@ def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
     wp = _trapezoid_weights(p)
     w0 = initial_wigner(state, x, p)
     mass = float(wx @ w0 @ wp)
-    if not abs(mass - 1.0) <= mass_tol:
+    if not abs(mass - 1.0) <= _MASS_TOL:
         raise GridUnderflowError(
-            f"initial Wigner mass {mass:.8f} is not within {mass_tol:g} of 1;"
+            f"initial Wigner mass {mass:.8f} is not within {_MASS_TOL:g} of 1;"
             " enlarge or refine the grid")
     # W0 is short and wide (nx << np_): with W0^T = Q R and the SVD
     # R^T = U S Vr of the small factor, W0 = U S V with V = Vr Q^T =

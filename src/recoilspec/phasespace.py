@@ -253,29 +253,19 @@ class FockSuperposition:
         n = np.arange(len(self.coeffs))
         return float(np.sum(n * np.abs(self.coeffs) ** 2))
 
-    def x_moments(self):
-        """(<x>, <x^2>) from the tridiagonal position operator."""
-        c = self.coeffs
-        n = np.arange(len(c))
-        # <x> couples n, n+1; <x^2> has diagonal (n + 1/2) and n, n+2 terms.
-        ex = _SQRT2 * float(np.real(np.sum(np.conj(c[:-1]) * c[1:]
-                                           * np.sqrt(n[1:]))))
-        diag = float(np.sum((n + 0.5) * np.abs(c) ** 2))
-        off2 = 0.0
-        if len(c) > 2:
-            amp = np.sqrt((n[2:] - 1.0) * n[2:])
-            off2 = float(np.real(np.sum(np.conj(c[:-2]) * c[2:] * amp)))
-        return ex, diag + off2
-
     def qfi_displacement(self) -> float:
-        ex, ex2 = self.x_moments()
-        return 4.0 * (ex2 - ex**2)
+        """4 Var(x), with <x> = Re c^dag x c and <x^2> = |x c|^2 on c padded
+        by one level, which x c reaches."""
+        c = np.append(self.coeffs, 0.0)
+        xc = _position_times(c)
+        ex = float(np.sum(np.conj(c) * xc).real)
+        return 4.0 * (float(np.sum(np.abs(xc) ** 2)) - ex**2)
 
     def slopes(self, u, v):
         """(P, dP/du, dP/dv), exact: the first three u-derivatives of
         `_fock_derivatives`, with dP/dv = (d^2P/du^2) / 2 by the heat
         equation.  Arrays u, v broadcast."""
-        m = _fock_derivatives(self._layout, self._support, u, v, 2)
+        m = _fock_derivatives(self._layout, self._support, u, v)
         return m[0], m[1], 0.5 * m[2]
 
     def march_step(self, alpha: float) -> float:
@@ -491,12 +481,13 @@ def _position_times(c: np.ndarray) -> np.ndarray:
 _KICK_BUDGET = 2**20
 
 
-def _fock_derivatives(layout, c, u, v, order, grad=False):
+def _fock_derivatives(layout, c, u, v, grad=False):
     """m[k] = d^k P/du^k for k = 0..order, exact, for the superposition
-    sum_i c_i |basis_i> on the `_padded_levels(basis, order)` layout.
-    Arrays u, v broadcast, and m has shape (order + 1, *shape).  With
-    `grad`, for real c, also dm[k, i] = d m[k]/dc_i for k <= order/2, of
-    shape (order/2 + 1, basis, *shape).
+    sum_i c_i |basis_i> on the `_padded_levels(basis, order)` layout, whose
+    order/2 + 1 maps x^k set the order.  Arrays u, v broadcast, and m has
+    shape (order + 1, *shape).  With `grad`, for real c, also
+    dm[k, i] = d m[k]/dc_i for k <= order/2, of shape
+    (order/2 + 1, basis, *shape).
 
     G(y) = <psi|e^{iyx}|psi> is e^{-y^2/4} times a polynomial of degree
     <= 2 n_max, and its derivatives are G^(k) = i^k (x^a c)^dag D (x^b c),
@@ -520,7 +511,8 @@ def _fock_derivatives(layout, c, u, v, order, grad=False):
                                np.asarray(v, dtype=float))
     shape = u.shape
     u, v = u.reshape(-1, 1), v.reshape(-1, 1)
-    top, half = order + 1, len(powers)
+    half = len(powers)                  # order/2 + 1
+    top = 2 * half - 1                  # order + 1
     # einsum keeps these small complex products out of BLAS, whose complex
     # kernels alone add ~0.4 MB of resident memory to a process
     vecs = np.einsum("kab,b->ka", powers, c)        # x^k c on the levels
@@ -550,7 +542,7 @@ def _fock_derivatives(layout, c, u, v, order, grad=False):
     series = (u * u < 1e-16 * (1.0 + v)).reshape(shape)
     if np.count_nonzero(series):        # cheaper than .any()
         u = u.reshape(shape)
-        for k in range(1, order, 2):
+        for k in range(1, top - 1, 2):
             m[k] = np.where(series, u * m[k + 1], m[k])
             if grad and k + 1 < half:
                 dm[k] = np.where(series, u * dm[k + 1], dm[k])
@@ -583,7 +575,7 @@ def real_fock_derivatives(basis, c, u: float, v: float):
     dm with dm[k, i] = d m[k]/dc_i for k = 0..2: the order-4 call of
     `_fock_derivatives` with its coefficient gradient.
     """
-    return _fock_derivatives(_padded_levels(tuple(basis), 4), c, u, v, 4,
+    return _fock_derivatives(_padded_levels(tuple(basis), 4), c, u, v,
                              grad=True)
 
 

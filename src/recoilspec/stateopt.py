@@ -300,7 +300,10 @@ def optimize_fock_superposition(prob: OptimizationProblem,
     """Best-found coefficients maximizing |S| subject to nbar <= nbar_max.
 
     The restarts start from the angles numpy.random.default_rng(seed)
-    would draw; seed must be a non-negative integer."""
+    would draw; seed must be a non-negative integer, and n_restarts at
+    least 1."""
+    if not n_restarts >= 1:
+        raise ConfigError(f"n_restarts must be at least 1, got {n_restarts}")
     dim = len(prob.basis) - 1
     starts = _uniform_angles(seed, n_restarts * dim)   # checks the seed
     ns = np.asarray(prob.basis, dtype=float)

@@ -229,6 +229,15 @@ def test_perturbative_guard():
         asymmetric_overlap(state, FPParams(alpha=0.2, d=0.0, tbar=5.0, g=0.1))
 
 
+def test_shift_refuses_a_working_point_beyond_the_perturbative_range(
+        dipole_pulse):
+    # eta = 1 gives |g t*| = 0.14 at the vacuum's working point, and
+    # asymmetric_overlap, the shift's first step there, refuses it
+    pulse = dataclasses.replace(dipole_pulse, lamb_dicke=1.0)
+    with pytest.raises(PerturbativeRegimeError, match="perturbative"):
+        two_point_shift(GaussianState.vacuum(), pulse)
+
+
 def test_shift_scales_inversely_with_sensitivity(dipole_pulse):
     # shift magnitude times sensitivity equals |g| c / 4 in shared units
     from recoilspec import compute_coefficients, recoil_sensitivity

@@ -86,8 +86,8 @@ def test_frechet_derivative_matches_scipy(dipole_pulse, override, bound):
 
 
 def test_every_pade_degree_matches_scipy():
-    # 1-norms from 1e-3 to 10 take degrees 3, 5, 7, 9 and 13, the last
-    # with 0 and 1 squarings
+    # 1-norms from 1e-3 to 10, from far inside theta_13 to past its edge:
+    # 0 and 1 squarings
     rng = np.random.default_rng(7)
     for norm in 10.0 ** np.arange(-3.0, 1.25, 0.25):
         a = rng.normal(size=(6, 6))
@@ -96,7 +96,7 @@ def test_every_pade_degree_matches_scipy():
 
 
 def test_a_stack_equals_single_calls_bit_for_bit():
-    # norms spread over every degree and several squaring counts, so the
+    # matrices scaled by 1e-3 to 1e2 take squaring counts 0 to 7, so the
     # stack is cut into many groups
     rng = np.random.default_rng(3)
     stack = rng.normal(size=(5, 40, 4, 4))
@@ -130,8 +130,8 @@ def _complex_matrices(rng, shape):
 
 @pytest.mark.parametrize("norm", [1e-2, 0.2, 0.9, 2.0, 5.0, 40.0])
 def test_every_complex_pade_degree_matches_scipy(norm):
-    # one 1-norm in each of the degree ranges 3, 5, 7, 9 and 13, and one
-    # that takes 13 with three squarings
+    # 1-norms from 1e-2 up to theta_13 without squaring, and one with three
+    # squarings
     rng = np.random.default_rng(5)
     a, e = _complex_matrices(rng, (2, 6, 6))
     a *= norm / np.linalg.norm(a, 1)

@@ -103,6 +103,20 @@ def test_optimizer_keeps_the_bits_of_numpy_start_angles(basis, nbar_max,
         assert (a.nbar_used, a.n_converged) == (b.nbar_used, b.n_converged)
 
 
+@pytest.mark.parametrize("n_restarts", [0, -2])
+@pytest.mark.parametrize("basis", [(2, 4), (0,)])
+def test_too_few_restarts_are_refused_before_any_work(n_restarts, basis,
+                                                      monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work began before n_restarts was checked")
+
+    monkeypatch.setattr(stateopt, "_uniform_angles", no_work)
+    monkeypatch.setattr(stateopt, "_signed_sensitivity", no_work)
+    prob = OptimizationProblem(basis=basis, nbar_max=4.0, epsilon=0.1)
+    with pytest.raises(ConfigError, match="n_restarts"):
+        optimize_fock_superposition(prob, n_restarts=n_restarts)
+
+
 def test_restarts_that_all_miss_the_working_point_raise_no_crossing():
     # at p0 = 1e-30 and eps = 10 the overlap of every (2, 4) state stays
     # above p0 over the whole march: each restart ends on the plateau
