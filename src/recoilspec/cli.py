@@ -62,13 +62,10 @@ def _typed(key: str, value, default):
     """`value` for config key `key` if its JSON type is that of `default`.
 
     A float key also takes an integer, but neither takes NaN or infinity;
-    a key whose default is None takes any value.  A section (dict) is
-    merged key by key into its default.
+    a key whose default is None takes any value.
     """
     if default is None:
         return value
-    if isinstance(default, dict) and isinstance(value, dict):
-        return _merge(default, value, f"{key}.")
     expected = type(default).__name__
     if isinstance(default, float):
         expected = "finite float"
@@ -84,12 +81,17 @@ def _typed(key: str, value, default):
     return value
 
 
-def _merge(base: dict, extra: dict, path: str = "") -> dict:
+def _merge(base: dict, extra: dict, defaults: dict, path: str = "") -> dict:
+    """`base` with `extra` merged in: a section merges into its current
+    value, any other value replaces it; `defaults` gives keys and types."""
     out = dict(base)
     for k, v in extra.items():
-        if k not in out:
+        if k not in defaults:
             raise ConfigError(f"unknown config key '{path}{k}'")
-        out[k] = _typed(f"{path}{k}", v, out[k])
+        if isinstance(defaults[k], dict) and isinstance(v, dict):
+            out[k] = _merge(out[k], v, defaults[k], f"{path}{k}.")
+        else:
+            out[k] = _typed(f"{path}{k}", v, defaults[k])
     return out
 
 
@@ -103,7 +105,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
-        cfg = _merge(cfg, user)
+        cfg = _merge(cfg, user, DEFAULT_CONFIG)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -112,52 +114,47 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node, default = cfg, DEFAULT_CONFIG
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node, default = node.get(part), default.get(part)
-            if not (isinstance(node, dict) and isinstance(default, dict)):
-                raise ConfigError(f"unknown config section in {key!r}")
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config key {key!r}")
-        node[parts[-1]] = _typed(key, value, default[parts[-1]])
+        # 'a.b=v' merges as the config file {"a": {"b": v}} would
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        cfg = _merge(cfg, value, DEFAULT_CONFIG)
     return cfg
 
 
 def pulse_from_config(cfg: dict) -> PulseParams:
     p = cfg["pulse"]
-    try:
-        return PulseParams(rabi=TWO_PI * float(p["rabi_hz"]),
-                           linewidth=TWO_PI * float(p["linewidth_hz"]),
-                           detuning=TWO_PI * float(p["detuning_hz"]),
-                           lamb_dicke=float(p["lamb_dicke"]),
-                           mode_freq=TWO_PI * float(p["mode_freq_hz"]),
-                           pulse_duration=float(p["pulse_duration_s"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad pulse section: {exc}") from exc
+    return PulseParams(rabi=TWO_PI * float(p["rabi_hz"]),
+                       linewidth=TWO_PI * float(p["linewidth_hz"]),
+                       detuning=TWO_PI * float(p["detuning_hz"]),
+                       lamb_dicke=float(p["lamb_dicke"]),
+                       mode_freq=TWO_PI * float(p["mode_freq_hz"]),
+                       pulse_duration=float(p["pulse_duration_s"]))
 
 
 # string spec 'name:arg' -> the state-section key that arg sets
 _SPEC_ARG = {"squeezed": "r", "cat": "beta", "fock": "n"}
 _FAMILIES = {
     "vacuum": lambda s: GaussianState.vacuum(),
-    "squeezed": lambda s: GaussianState.squeezed(float(s.get("r", 0.0))),
-    "cat": lambda s: CatState(float(s.get("beta", 0.0))),
-    "fock": lambda s: FockSuperposition.fock(int(s.get("n", 0))),
+    "squeezed": lambda s: GaussianState.squeezed(float(s["r"])),
+    "cat": lambda s: CatState(float(s["beta"])),
+    "fock": lambda s: FockSuperposition.fock(int(s["n"])),
     "superposition": lambda s: FockSuperposition.from_dict(
         {int(k): complex(v) for k, v in dict(s.get("coeffs") or {}).items()}),
 }
 
 
 def state_from_spec(spec):
-    """Build a motional state from the structured state section, or from a
-    string spec 'vacuum', 'squeezed:r', 'cat:beta' or 'fock:n', which reads
-    as the section {"family": name, <the family's key>: arg}."""
-    if not isinstance(spec, dict):
+    """Build a motional state from an object, read as the state section, or
+    from a string spec 'vacuum', 'squeezed:r', 'cat:beta' or 'fock:n', read
+    as {"family": name, <the family's key>: arg}, arg 0 when omitted."""
+    if isinstance(spec, dict):
+        spec = _merge(DEFAULT_CONFIG["state"], spec, DEFAULT_CONFIG["state"],
+                      "state.")
+    else:
         fam, _, arg = str(spec).partition(":")
         spec = {"family": fam, _SPEC_ARG.get(fam, "arg"): arg or 0}
-    fam = spec.get("family", "vacuum")
-    if not isinstance(fam, str) or fam not in _FAMILIES:
+    fam = spec["family"]
+    if fam not in _FAMILIES:
         raise ConfigError(f"unknown state family {fam!r}")
     try:
         return _FAMILIES[fam](spec)

@@ -33,8 +33,12 @@ from .phasespace import (CatState, FockSuperposition, FPParams, GaussianState,
 _SVD_RTOL = 1e-13
 # How far from 1 the initial Wigner mass on the grid may lie.
 _MASS_TOL = 1e-6
-# Half-width of the y grid of the Fock Wigner transform.
+# The Fock Wigner transform's y grid keeps the spacing of _Y_NODES nodes
+# over |y| <= _Y_HALF and reaches _Y_TAIL past the top level's turning
+# point: Fock 2's margin, 6 - sqrt(5), rounded down, so Fock 0-2 keep it.
 _Y_HALF = 6.0
+_Y_NODES = 512
+_Y_TAIL = 3.76
 
 
 @dataclass(frozen=True)
@@ -107,20 +111,28 @@ def _fock_wavefunction(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def wigner_fock(f: FockSuperposition, x, p, ny: int = 512):
+def _y_axis(f: FockSuperposition) -> np.ndarray:
+    """The even, symmetric y grid of `wigner_fock`, out to
+    max(_Y_HALF, sqrt(2 n_top + 1) + _Y_TAIL)."""
+    n_top = len(f.coeffs) - 1
+    reach = math.sqrt(2.0 * n_top + 1.0) + _Y_TAIL
+    ny = 2 * max(_Y_NODES // 2,
+                 math.ceil(reach * (_Y_NODES - 1) / (2.0 * _Y_HALF) + 0.5))
+    half = _Y_HALF * (ny - 1) / (_Y_NODES - 1)
+    return np.linspace(-half, half, ny)
+
+
+def wigner_fock(f: FockSuperposition, x, p):
     """W(x, p) = (1/pi) int dy h(x, y) e^{-2ipy}, h = psi(x+y) conj(psi(x-y)),
-    on ny nodes over |y| <= _Y_HALF.
+    on the nodes of `_y_axis`.
 
     h(x, -y) = conj h(x, y), so the sum over the symmetric y grid is twice
-    the real sum over its y > 0 half, Re h cos(2py) + Im h sin(2py), with
-    the y = 0 node of an odd grid counted once.  Real coefficients make
-    Im h exactly 0, and the sine term is skipped.
+    the real sum over its y > 0 half, Re h cos(2py) + Im h sin(2py).  Real
+    coefficients make Im h exactly 0, and the sine term is skipped.
     """
-    y = np.linspace(-_Y_HALF, _Y_HALF, ny)
-    weight = np.full(ny - ny // 2, 2.0 * (y[1] - y[0]) / math.pi)
-    if ny % 2:
-        weight[0] *= 0.5
-    y = y[ny // 2:]
+    y = _y_axis(f)
+    weight = 2.0 * (y[1] - y[0]) / math.pi
+    y = y[len(y) // 2:]
     h = _fock_wavefunction(f.coeffs, x[:, None] + y)
     h *= np.conj(_fock_wavefunction(f.coeffs, x[:, None] - y))
     h *= weight

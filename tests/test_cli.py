@@ -8,7 +8,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from recoilspec import cli
 
@@ -408,3 +409,99 @@ _COEFFS = (st.sampled_from([
 @example(overrides=[("family", "cat"), ("beta", 5e-324)])
 def test_shift_state_edge_values_keep_the_exit_contract(overrides):
     _assert_json_exit_contract(*_run_overrides("shift", "state", overrides))
+
+
+def test_section_override_lands_on_the_config_file(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"pulse": {"detuning_hz": 5e6,
+                                          "lamb_dicke": 0.05}}))
+    pulse = cli.load_config(str(path), ['pulse={"rabi_hz": 1e6}'])["pulse"]
+    assert (pulse["rabi_hz"], pulse["detuning_hz"], pulse["lamb_dicke"],
+            pulse["linewidth_hz"]) == (1e6, 5e6, 0.05, 34e6)
+
+
+def test_section_override_keeps_earlier_overrides():
+    state = cli.load_config(None, ["state.beta=3.0",
+                                   'state={"family": "cat"}'])["state"]
+    assert (state["family"], state["beta"]) == ("cat", 3.0)
+    # a key whose default is null takes its value whole
+    state = cli.load_config(None, ['state.coeffs={"2": 1}',
+                                   'state={"coeffs": {"4": 1}}'])["state"]
+    assert state["coeffs"] == {"4": 1}
+
+
+def test_object_state_entries_read_as_the_state_section():
+    code, out, err = _run_in_process(
+        ["sensitivity", "--format", "json", "--set", "sensitivity.points=2",
+         "--set", 'sensitivity.states=[{"family": "cat"}, "cat:2.0", '
+         '{"family": "fock"}, "fock:2"]'])
+    assert code == 0, err
+    for row in json.loads(out)["rows"]:
+        assert row[1:3] == row[3:5] and row[5:7] == row[7:9]
+    code, out, err = _run_in_process(
+        ["sensitivity", "--set",
+         'sensitivity.states=[{"family": "cat", "beta": "2"}]'])
+    assert (code, out) == (2, "")
+    assert "state.beta" in err
+
+
+def _setting_values(default):
+    """Values of the config key whose default is `default` that pass its
+    type check."""
+    if default is None:
+        return st.none() | st.dictionaries(st.sampled_from(["0", "2", "4"]),
+                                           st.floats(-1.0, 1.0), max_size=2)
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, float):
+        return (st.floats(allow_nan=False, allow_infinity=False)
+                | st.integers(-5, 5))
+    if isinstance(default, int):
+        return st.integers(-3, 100)
+    if isinstance(default, str):
+        return st.text(max_size=6)
+    return st.lists(st.integers(0, 6) | st.text(max_size=4), max_size=3)
+
+
+@st.composite
+def _config_split(draw):
+    """A config given whole, and the same config split between a config
+    file and `--set` overrides of single keys and whole sections, some
+    keys first set to another value by the file or an earlier override."""
+    whole, part, earlier, overrides, sections = {}, {}, [], [], {}
+    for sec, defaults in cli.DEFAULT_CONFIG.items():
+        for key, default in defaults.items():
+            if not draw(st.booleans()):
+                continue
+            value = draw(_setting_values(default))
+            whole.setdefault(sec, {})[key] = value
+            route = draw(st.sampled_from(["file", "key", "section"]))
+            if route == "file":
+                part.setdefault(sec, {})[key] = value
+                continue
+            decoy = draw(st.sampled_from(["none", "file", "override"]))
+            if decoy == "file":
+                part.setdefault(sec, {})[key] = draw(_setting_values(default))
+            elif decoy == "override":
+                earlier.append(f"{sec}.{key}="
+                               f"{json.dumps(draw(_setting_values(default)))}")
+            if route == "key":
+                overrides.append(f"{sec}.{key}={json.dumps(value)}")
+            else:
+                sections.setdefault(sec, {})[key] = value
+    overrides += [f"{sec}={json.dumps(obj)}" for sec, obj in sections.items()]
+    return (whole, part,
+            draw(st.permutations(earlier)) + draw(st.permutations(overrides)))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(split=_config_split())
+def test_config_split_between_file_and_overrides_resolves_the_same(
+        tmp_path, split):
+    whole, part, overrides = split
+    whole_path, part_path = tmp_path / "whole.json", tmp_path / "part.json"
+    whole_path.write_text(json.dumps(whole))
+    part_path.write_text(json.dumps(part))
+    assert (cli.load_config(str(part_path), overrides)
+            == cli.load_config(str(whole_path), []))

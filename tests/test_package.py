@@ -156,10 +156,12 @@ def _callers(tree, callee):
     ("_kick_elements", "_fock_derivatives"),
     ("_folded_rule", "_fock_derivatives"),
     ("find_root_tbar", "find_working_point"),
+    ("_typed", "_merge"),
 ])
 def test_merged_routes_keep_one_caller(callee, caller):
     # every Fock-superposition derivative comes from one quadrature kernel,
-    # and every working point from one march
+    # every working point from one march, and every config value from one
+    # merge
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         callers |= _callers(ast.parse(path.read_text()), callee)

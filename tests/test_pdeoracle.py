@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.sparse import diags, identity
 from scipy.sparse.linalg import splu
+from scipy.special import eval_genlaguerre
 
 from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
                         GaussianState, GridUnderflowError, overlap_after,
@@ -15,9 +16,9 @@ from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
 from recoilspec import pdeoracle
 from recoilspec.pdeoracle import (GridSpec, _crank_nicolson, _EDGES,
                                   _fock_wavefunction, _osc_wavenumber,
-                                  _pde_operator, _spike_solver, default_grid,
-                                  initial_wigner, propagate, wigner_fock,
-                                  wigner_gaussian)
+                                  _pde_operator, _spike_solver, _y_axis,
+                                  default_grid, initial_wigner, propagate,
+                                  wigner_fock, wigner_gaussian)
 
 
 def test_vacuum_point():
@@ -98,6 +99,16 @@ def test_undersized_grid_is_rejected():
     with pytest.raises(GridUnderflowError):
         overlap_pde(GaussianState.squeezed(1.44),
                     FPParams(alpha=0.5, d=0.05, tbar=1.0), grid=grid)
+
+
+def test_state_that_drifts_off_the_grid_is_rejected():
+    # the initial vacuum fits the p grid, but a drift of 8 carries it past
+    # the edge at 6
+    with pytest.raises(GridUnderflowError,
+                       match="propagated Wigner mass .*state left the grid"):
+        overlap_pde_batch(GaussianState.vacuum(),
+                          [FPParams(alpha=8.0, d=0.0, tbar=1.0)],
+                          grid=GridSpec(8.0, 6.0, 81, 601))
 
 
 def test_wigner_normalization_all_families():
@@ -363,10 +374,10 @@ def test_accuracy_on_the_criterion_5_corners(state, bound):
     assert worst <= bound
 
 
-def _complex_kernel_wigner_fock(f, x, p, ny=512, y_half=6.0):
+def _complex_kernel_wigner_fock(f, x, p):
     """W = (1/pi) sum over the whole y grid of h(x, y) e^{-2ipy} dy, with the
     full complex ny x np kernel."""
-    y = np.linspace(-y_half, y_half, ny)
+    y = _y_axis(f)
     dy = y[1] - y[0]
     psi_plus = _fock_wavefunction(f.coeffs, x[:, None] + y[None, :])
     psi_minus = _fock_wavefunction(f.coeffs, x[:, None] - y[None, :])
@@ -374,30 +385,26 @@ def _complex_kernel_wigner_fock(f, x, p, ny=512, y_half=6.0):
     return np.real((psi_plus * np.conj(psi_minus)) @ kernel * (dy / math.pi))
 
 
-@pytest.mark.parametrize("state, ny", [
-    (FockSuperposition.fock(2), 512),
-    (FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(3) / 2}), 512),
-    (FockSuperposition.from_dict({0: 1 / math.sqrt(2),
-                                  1: 1j / math.sqrt(2)}), 512),
-    (FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(3) / 2}), 401),
-], ids=["fock2", "fock24", "fock0+i1", "fock24-odd-ny"])
-def test_half_grid_fock_wigner_equals_the_complex_kernel(state, ny):
+@pytest.mark.parametrize("state", [
+    FockSuperposition.fock(2),
+    FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(3) / 2}),
+    FockSuperposition.from_dict({0: 1 / math.sqrt(2), 1: 1j / math.sqrt(2)}),
+], ids=["fock2", "fock24", "fock0+i1"])
+def test_half_grid_fock_wigner_equals_the_complex_kernel(state):
     """Pairing y with -y, where h(x, -y) = conj h(x, y), gives the
     complex-kernel integral over the whole y grid."""
     x, p = default_grid(state, FPParams(alpha=1.1, d=0.3, tbar=1.0)).axes()
-    want = _complex_kernel_wigner_fock(state, x, p, ny=ny)
-    got = wigner_fock(state, x, p, ny=ny)
+    want = _complex_kernel_wigner_fock(state, x, p)
+    got = wigner_fock(state, x, p)
     assert np.max(np.abs(want)) > 0.1
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
-def _half_grid_wigner_fock_with_sine(f, x, p, ny=512, y_half=6.0):
+def _half_grid_wigner_fock_with_sine(f, x, p):
     """wigner_fock's half-grid sum with the sine term always taken."""
-    y = np.linspace(-y_half, y_half, ny)
-    weight = np.full(ny - ny // 2, 2.0 * (y[1] - y[0]) / math.pi)
-    if ny % 2:
-        weight[0] *= 0.5
-    y = y[ny // 2:]
+    y = _y_axis(f)
+    weight = 2.0 * (y[1] - y[0]) / math.pi
+    y = y[len(y) // 2:]
     h = _fock_wavefunction(f.coeffs, x[:, None] + y)
     h *= np.conj(_fock_wavefunction(f.coeffs, x[:, None] - y))
     h *= weight
@@ -420,6 +427,34 @@ def test_fock_wigner_skips_the_sine_term_only_where_it_is_zero(state, real):
     odd = np.max(np.abs(got - got[:, ::-1]))
     assert np.allclose(p, -p[::-1], rtol=0, atol=1e-12)
     assert odd < 1e-12 if real else odd > 0.1
+
+
+@pytest.mark.parametrize("n", [2, 10, 20, 64])
+def test_fock_wigner_matches_the_laguerre_closed_form(n):
+    """W_n = (-1)^n / pi e^{-r^2} L_n(2 r^2): the y grid reaches past the
+    turning point sqrt(2n + 1) of every level."""
+    x = np.linspace(-12.0, 12.0, 241)
+    r2 = x[:, None] ** 2 + x**2
+    want = (-1) ** n / math.pi * np.exp(-r2) * eval_genlaguerre(n, 0, 2 * r2)
+    got = wigner_fock(FockSuperposition.fock(n), x, x)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_fock_y_grid_keeps_its_base_nodes_up_to_fock_2():
+    for n in (0, 1, 2):
+        y = _y_axis(FockSuperposition.fock(n))
+        assert np.array_equal(y, np.linspace(-6.0, 6.0, 512))
+    y = _y_axis(FockSuperposition.fock(64))
+    assert len(y) % 2 == 0 and y[-1] >= math.sqrt(129.0) + 3.76
+    assert y[1] - y[0] == pytest.approx(12.0 / 511, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_high_fock_levels_match_production(n):
+    state = FockSuperposition.fock(n)
+    fp = FPParams(alpha=0.2, d=0.02, tbar=1.0)
+    assert overlap_pde(state, fp) == pytest.approx(
+        overlap_after(state, fp), abs=1e-4)
 
 
 def test_broadcast_gaussian_wigner_equals_the_meshgrid_formula():
