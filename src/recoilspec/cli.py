@@ -95,6 +95,14 @@ def _merge(base: dict, extra: dict, defaults: dict, path: str = "") -> dict:
     return out
 
 
+def _value(raw: str):
+    """An override's value: JSON if it parses, else the text itself."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
 def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
@@ -110,10 +118,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, _, raw = item.partition("=")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
+        value = _value(raw)
         # 'a.b=v' merges as the config file {"a": {"b": v}} would
         for part in reversed(key.split(".")):
             value = {part: value}
@@ -143,23 +148,41 @@ _FAMILIES = {
 }
 
 
+def _spec_text(spec) -> str:
+    """A state spec as written: a string as is, anything else as compact
+    JSON with sorted keys, so key order does not change it."""
+    if isinstance(spec, str):
+        return spec
+    return json.dumps(spec, sort_keys=True, separators=(",", ":"))
+
+
 def state_from_spec(spec):
-    """Build a motional state from an object, read as the state section, or
-    from a string spec 'vacuum', 'squeezed:r', 'cat:beta' or 'fock:n', read
-    as {"family": name, <the family's key>: arg}, arg 0 when omitted."""
-    if isinstance(spec, dict):
-        spec = _merge(DEFAULT_CONFIG["state"], spec, DEFAULT_CONFIG["state"],
-                      "state.")
-    else:
-        fam, _, arg = str(spec).partition(":")
-        spec = {"family": fam, _SPEC_ARG.get(fam, "arg"): arg or 0}
-    fam = spec["family"]
+    """Build a motional state from an object, or from a string spec
+    'name[:arg]' read as {"family": name, <the family's key>: arg} with arg
+    parsed as a --set value ('squeezed:r', 'cat:beta', 'fock:n'); either
+    is merged over the default state section."""
+    text = _spec_text(spec)
+    extra = spec
+    if not isinstance(spec, dict):
+        fam, sep, arg = text.partition(":")
+        extra = {"family": fam}
+        if sep:
+            if fam not in _SPEC_ARG:
+                raise ConfigError(f"state spec {text}: only "
+                                  f"{', '.join(_SPEC_ARG)} take an argument")
+            extra[_SPEC_ARG[fam]] = _value(arg)
+    try:
+        state = _merge(DEFAULT_CONFIG["state"], extra,
+                       DEFAULT_CONFIG["state"], "state.")
+    except ConfigError as exc:
+        raise ConfigError(f"state spec {text}: {exc}") from exc
+    fam = state["family"]
     if fam not in _FAMILIES:
         raise ConfigError(f"unknown state family {fam!r}")
     try:
-        return _FAMILIES[fam](spec)
+        return _FAMILIES[fam](state)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad state {spec}: {exc}") from exc
+        raise ConfigError(f"bad state {text}: {exc}") from exc
 
 
 def _header_lines(cfg: dict, command: str) -> list[str]:
@@ -265,8 +288,8 @@ def cmd_sensitivity(cfg: dict, _seed: int):
     sec = cfg["sensitivity"]
     eps = _grid(float(sec["epsilon_min"]), float(sec["epsilon_max"]),
                 int(sec["points"]), log=bool(sec["log_grid"]))
-    specs = list(sec["states"])
-    states = [state_from_spec(s) for s in specs]
+    states = [state_from_spec(s) for s in sec["states"]]
+    specs = [_spec_text(s) for s in sec["states"]]
     mode = str(sec["mode"])
     p0 = float(sec["p0"])
     allow = bool(sec["allow_large_epsilon"])
@@ -292,7 +315,7 @@ def cmd_sensitivity(cfg: dict, _seed: int):
         rows.append(row)
     cols = ["epsilon"]
     for spec in specs:
-        tag = str(spec).replace(":", "_")
+        tag = spec.replace(":", "_")
         cols.extend([f"s_{tag}", f"qfi_bound_{tag}"])
     cols.append("diagnostics")
     return cols, rows

@@ -13,12 +13,27 @@ propagated, then the remain probability is the 2 pi weighted trapezoidal
 overlap with the initial Wigner function.  This route shares nothing with
 the closed-form and characteristic-function evaluations and serves as
 their cross-check.
+
+Without damping (g = 0) the operator's bands depend only on alpha, d and
+the p spacing, and transposing it or reflecting it in p (R reverses the p
+grid) both flip the sign of the odd first-derivative stencil: op^T =
+R op R, and so M^T = R M R for the step matrix M.  A run of n steps then
+overlaps as <v, W M^n v> = <R M^a R v, W M^b v> with a = ceil(n/2) and
+b = floor(n/2): exact for the interior stencil, broken by the graded rows
+next to the edges only in the deep tails.  One run of a steps from an
+orthonormal basis of span{v, R v} gives both sides, and a state whose
+Wigner function is even in p spans its own reflection and adds no rows.
+With damping the drift g p depends on p, the identity fails, and the
+full-time fields are propagated.  The mass guard checks the states each
+overlap is built from: the ket and the reflected bra of both runs, or
+with damping the full-time fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from numbers import Integral, Real
 
 import numpy as np
@@ -236,8 +251,11 @@ def _pde_operator(p: np.ndarray, fp: FPParams) -> np.ndarray:
     return bands
 
 
-def _default_steps(p: np.ndarray, fp: FPParams, osc_k: float) -> int:
-    """Fine-run step count for the extrapolated result: even, at least 50.
+def _fine_steps(p: np.ndarray, fp: FPParams, osc_k: float,
+                n_steps: int | None) -> int:
+    """Fine-run step count for the extrapolated result: an explicit
+    `n_steps`, which must be an even integer >= 2, or by default even and
+    at least 50.
 
     Crank-Nicolson is unconditionally stable, but its phase error grows as
     (k alpha dt)^3 per step on fringes of wavenumber k.  The extrapolation
@@ -245,6 +263,12 @@ def _default_steps(p: np.ndarray, fp: FPParams, osc_k: float) -> int:
     step can be 1/(20 k alpha), three times plain Crank-Nicolson's
     1/(60 k alpha), at a lower overlap error.
     """
+    if n_steps is not None:
+        if (isinstance(n_steps, bool) or not isinstance(n_steps, Integral)
+                or n_steps < 2 or n_steps % 2):
+            raise ConfigError(
+                f"n_steps must be an even integer >= 2, got {n_steps!r}")
+        return n_steps
     adv = abs(fp.alpha) + abs(fp.g) * float(np.max(np.abs(p)))
     dt = 0.04
     if adv > 0:
@@ -325,15 +349,14 @@ def _spike_solver(bands: np.ndarray):
     return solve, k, s
 
 
-def _crank_nicolson(w0: np.ndarray, op: np.ndarray, tbar: float,
-                    n_steps: int) -> np.ndarray:
-    """Plain Crank-Nicolson for dW/dtbar = op W: n_steps steps to `tbar`.
+def _steps(w0: np.ndarray, op: np.ndarray, dt: float):
+    """Crank-Nicolson for dW/dtbar = op W in steps of `dt`: yields the rows
+    of `w0` after 0, 1, 2, ... steps.
 
     Each row of `w0` is a function of p on the grid of the banded operator
-    `op` (see `_pde_operator`); all rows are propagated together and
-    returned in the same layout.
+    `op` (see `_pde_operator`); all rows are propagated together.  Each
+    yield is a view that the next step overwrites.
     """
-    dt = tbar / n_steps
     # With L = I - dt/2 op the step L w' = (I + dt/2 op) w = (2I - L) w
     # reads w' = (L/2)^-1 w - w: one solve and no matrix product per step.
     # Halving is exact, so (L/2)^-1 w has the bits of 2 L^-1 w.
@@ -344,12 +367,28 @@ def _crank_nicolson(w0: np.ndarray, op: np.ndarray, tbar: float,
     flat = np.zeros((k * s, rows))
     flat[:m] = w0.T
     w = flat.reshape(k, s, rows)
-    for _ in range(n_steps):
+    yield flat[:m].T
+    while True:
         np.subtract(solve(w), w, out=w)
         # the Dirichlet edge rows, and the padding past them, stay zero
         flat[0] = 0.0
         flat[m - 1:] = 0.0
-    return flat[:m].T
+        yield flat[:m].T
+
+
+def _crank_nicolson(w0: np.ndarray, op: np.ndarray, tbar: float,
+                    n_steps: int) -> np.ndarray:
+    """Plain Crank-Nicolson for dW/dtbar = op W: n_steps steps to `tbar`,
+    the rows of `w0` returned in the same layout."""
+    return next(islice(_steps(w0, op, tbar / n_steps), n_steps, None))
+
+
+def _split_run(q: np.ndarray, op: np.ndarray, tbar: float, n: int):
+    """The rows of `q` after b = floor(n/2) and a = ceil(n/2) of the n
+    Crank-Nicolson steps to `tbar`, from one run of a steps."""
+    steps = _steps(q, op, tbar / n)
+    ket = next(islice(steps, n // 2, None)).copy()
+    return ket, (next(steps) if n % 2 else ket)
 
 
 def propagate(w0: np.ndarray, p: np.ndarray, fp: FPParams,
@@ -359,16 +398,11 @@ def propagate(w0: np.ndarray, p: np.ndarray, fp: FPParams,
 
     Each row of `w0` is a function of p on the grid `p`.  Returns
     (4 CN(n) - CN(n/2)) / 3 for the fine step count n = `n_steps` (even, at
-    least 2; by default `_default_steps`).  Crank-Nicolson's global error is
+    least 2; by default `_fine_steps`).  Crank-Nicolson's global error is
     even in dt, so the combination cancels its dt^2 term.  `check`, if
     given, is called with each run's result before the two are combined.
     """
-    if n_steps is None:
-        n_steps = _default_steps(p, fp, osc_k)
-    elif (isinstance(n_steps, bool) or not isinstance(n_steps, Integral)
-          or n_steps < 2 or n_steps % 2):
-        raise ConfigError(
-            f"n_steps must be an even integer >= 2, got {n_steps!r}")
+    n_steps = _fine_steps(p, fp, osc_k, n_steps)
     op = _pde_operator(p, fp)
     runs = []
     for n in (n_steps, n_steps // 2):
@@ -402,9 +436,13 @@ def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
     The PDE acts on p only, so with the thin SVD W0 = U S V only the
     momentum factors V are propagated, W(t) = U S V(t), and the trapezoidal
     overlap and mass contract exactly through the small factor matrices.
-    An explicit `n_steps` is the fine run's step count (see `propagate`);
-    both runs must keep the mass on the grid, and the initial Wigner mass
-    must lie within _MASS_TOL of 1.
+    With g = 0 each run takes half its steps by the p-reflection identity
+    of the module docstring; with g != 0 `propagate` carries the factors
+    to the full time.  An explicit `n_steps` is the fine run's step count
+    (see `propagate`).  Every state the overlaps are built from (the ket
+    and the reflected bra at g = 0, the full-time fields otherwise) must
+    keep the mass on the grid, and the initial Wigner mass must lie within
+    _MASS_TOL of 1.
     """
     if not fps:
         return []
@@ -430,7 +468,8 @@ def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
                             full_matrices=False)
     rank = int(np.count_nonzero(s > _SVD_RTOL * s[0]))
     u, s = u[:, :rank], s[:rank]
-    v = (u.T @ w0) / s[:, None]
+    sv = u.T @ w0
+    v = sv / s[:, None]
     del w0
     us = u * s
     gram_x = us.T @ (wx[:, None] * us)
@@ -443,10 +482,30 @@ def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
             raise GridUnderflowError(
                 f"propagated Wigner mass {mass_t:.8f}; state left the grid")
 
+    # v = ket @ q and R v = bra @ q over the orthonormal rows q, from the
+    # SVD of the momentum factors S V and their reflections
+    c, sq, q = np.linalg.svd(np.vstack((sv, sv[:, ::-1])),
+                             full_matrices=False)
+    keep = sq > _SVD_RTOL * sq[0]
+    c, q = c[:, keep] * sq[keep], q[keep]
+    ket, bra = c[:rank] / s[:, None], c[rank:] / s[:, None]
+
     out = []
     for fp in fps:
-        vt = propagate(v, p, fp, n_steps=n_steps, osc_k=osc_k,
-                       check=check_mass)
-        out.append(float(2.0 * math.pi
-                         * np.sum(gram_x * ((v * wp) @ vt.T))))
+        if fp.g != 0.0:
+            vt = propagate(v, p, fp, n_steps=n_steps, osc_k=osc_k,
+                           check=check_mass)
+            out.append(float(2.0 * math.pi
+                             * np.sum(gram_x * ((v * wp) @ vt.T))))
+            continue
+        fine = _fine_steps(p, fp, osc_k, n_steps)
+        op = _pde_operator(p, fp)
+        runs = []
+        for n in (fine, fine // 2):
+            qb, qa = _split_run(q, op, fp.tbar, n)
+            vb, va = ket @ qb, bra @ qa
+            check_mass(vb)
+            check_mass(va)
+            runs.append(np.sum(gram_x * ((va[:, ::-1] * wp) @ vb.T)))
+        out.append(float(2.0 * math.pi * (4.0 * runs[0] - runs[1]) / 3.0))
     return out

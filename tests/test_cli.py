@@ -7,6 +7,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
@@ -443,6 +444,51 @@ def test_object_state_entries_read_as_the_state_section():
          'sensitivity.states=[{"family": "cat", "beta": "2"}]'])
     assert (code, out) == (2, "")
     assert "state.beta" in err
+
+
+@pytest.mark.parametrize("spec, section", [
+    ("cat", {"family": "cat"}), ("fock", {"family": "fock"}),
+    ("squeezed", {"family": "squeezed"}), ("vacuum", {}),
+    ("cat:1.5", {"family": "cat", "beta": 1.5}),
+    ("fock:4", {"family": "fock", "n": 4}),
+    ("squeezed:1.44", {"family": "squeezed", "r": 1.44}),
+], ids=["cat", "fock", "squeezed", "vacuum", "cat-arg", "fock-arg",
+        "squeezed-arg"])
+def test_string_specs_read_as_the_state_section(spec, section):
+    """A bare family reads its key from the state defaults, as the object
+    form does: cat beta = 2, Fock 2, squeezed r = 0."""
+    got, want = cli.state_from_spec(spec), cli.state_from_spec(section)
+    assert type(got) is type(want)
+    for key in ("mean", "cov", "beta", "coeffs"):
+        if hasattr(want, key):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+
+
+@pytest.mark.parametrize("spec, key", [
+    ("vacuum:7", None), ("superposition:x", None), ("cat:x", "state.beta"),
+    ("fock:2.5", "state.n"), ("squeezed:true", "state.r"),
+])
+def test_bad_string_spec_arguments_exit_2_naming_the_spec(spec, key):
+    code, out, err = _run_in_process(
+        ["sensitivity", "--set", f"sensitivity.states={json.dumps([spec])}"])
+    assert (code, out) == (2, "")
+    assert spec in err
+    assert key is None or key in err
+
+
+def test_object_entry_columns_do_not_depend_on_key_order():
+    def header(entry):
+        code, out, err = _run_in_process(
+            ["sensitivity", "--format", "json", "--set",
+             "sensitivity.points=1", "--set",
+             f"sensitivity.states={json.dumps([entry])}"])
+        assert code == 0, err
+        return json.loads(out)["columns"]
+
+    one = header({"family": "cat", "beta": 1.5})
+    assert one == header({"beta": 1.5, "family": "cat"})
+    assert one[1:3] == ['s_{"beta"_1.5,"family"_"cat"}',
+                        'qfi_bound_{"beta"_1.5,"family"_"cat"}']
 
 
 def _setting_values(default):

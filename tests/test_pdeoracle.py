@@ -111,6 +111,15 @@ def test_state_that_drifts_off_the_grid_is_rejected():
                           grid=GridSpec(8.0, 6.0, 81, 601))
 
 
+def test_guard_checks_the_half_time_states_the_overlap_is_built_from():
+    """A drift of 5 carries the full-time vacuum to the edge at 6, but the
+    ket and the reflected bra of the g = 0 route sit at +-2.5."""
+    fp = FPParams(alpha=5.0, d=0.0, tbar=1.0)
+    vac = GaussianState.vacuum()
+    got, = overlap_pde_batch(vac, [fp], grid=GridSpec(8.0, 6.0, 81, 601))
+    assert got == pytest.approx(overlap_after(vac, fp), abs=1e-4)
+
+
 def test_wigner_normalization_all_families():
     x = np.linspace(-12, 12, 301)
     p = np.linspace(-12, 12, 601)
@@ -144,6 +153,88 @@ def test_low_rank_batch_matches_full_column_propagation(state, min_rank):
             np.trapezoid(w0 * wt, dx=p[1] - p[0], axis=1), dx=x[1] - x[0]))
     assert overlap_pde_batch(state, fps) == pytest.approx(full, rel=0,
                                                           abs=1e-12)
+
+
+def _full_field_batch(state, fps, grid, n_steps):
+    """overlap_pde_batch by the full-field route: the momentum factors
+    propagated to the full time by `propagate`, then contracted."""
+    x, p = grid.axes()
+    wx, wp = pdeoracle._trapezoid_weights(x), pdeoracle._trapezoid_weights(p)
+    u, s, v = np.linalg.svd(initial_wigner(state, x, p), full_matrices=False)
+    keep = s > 1e-13 * s[0]
+    us, v = u[:, keep] * s[keep], v[keep]
+    gram_x = us.T @ (wx[:, None] * us)
+    return [2.0 * math.pi * np.sum(gram_x * ((v * wp) @ propagate(
+        v, p, fp, n_steps=n_steps, osc_k=_osc_wavenumber(state)).T))
+        for fp in fps]
+
+
+# the oracle-check families on its default (alpha, d) grid, then states
+# whose Wigner function is not even in p
+_ORACLE_CHECK = [FPParams(alpha=a, d=d, tbar=1.0) for a in (0.0, 1.0, 2.0)
+                 for d in (0.0, 0.3)]
+_SPLIT = [FPParams(alpha=0.4, d=0.1, tbar=1.0),
+          FPParams(alpha=-1.3, d=0.0, tbar=1.0)]
+REFLECTION_CASES = [
+    (GaussianState.vacuum(), _ORACLE_CHECK),
+    (GaussianState.squeezed(1.44), _ORACLE_CHECK),
+    (CatState(2.0), _ORACLE_CHECK),
+    (FockSuperposition.fock(2), _ORACLE_CHECK),
+    (FockSuperposition.from_dict({0: 1 / math.sqrt(2), 1: 1j / math.sqrt(2)}),
+     _SPLIT),
+    (GaussianState([0.3, -1.0], GaussianState.vacuum().cov), _SPLIT),
+    (GaussianState.squeezed(0.5, phase=math.pi / 5), _SPLIT),
+]
+REFLECTION_IDS = ["vacuum", "squeezed", "cat", "fock2", "fock0+i1",
+                  "displaced", "rotated-squeezed"]
+
+
+@pytest.mark.parametrize("n_steps", [None, 2, 6, 40])
+@pytest.mark.parametrize("state, fps", REFLECTION_CASES, ids=REFLECTION_IDS)
+def test_reflected_half_runs_equal_the_full_field_contraction(state, fps,
+                                                              n_steps):
+    """At g = 0, <v, W M^n v> = <R M^a R v, W M^b v> (a = ceil(n/2), b =
+    floor(n/2)) gives the overlap of the full-time fields, also for the odd
+    coarse runs of 3 and 1 steps and for states that are not even in p.
+    The grid is the default one for the whole list; one step of dt = 1
+    leaks more than 1e-4 of the mass at alpha = 2 on either route, so the
+    two-step runs leave those settings out."""
+    grid = default_grid(state, FPParams(
+        alpha=max(abs(f.alpha) for f in fps), d=max(f.d for f in fps),
+        tbar=1.0))
+    if n_steps == 2:
+        fps = [f for f in fps if abs(f.alpha) < 2.0]
+    got = overlap_pde_batch(state, fps, grid=grid, n_steps=n_steps)
+    want = _full_field_batch(state, fps, grid, n_steps)
+    assert got == pytest.approx(want, rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("state", [
+    GaussianState.vacuum(), GaussianState.squeezed(1.44), CatState(2.0),
+    FockSuperposition.fock(2),
+    FockSuperposition.from_dict({0: 1 / math.sqrt(2), 1: 1j / math.sqrt(2)}),
+], ids=["vacuum", "squeezed", "cat", "fock2", "fock0+i1"])
+def test_p_even_states_propagate_only_their_rank(state, monkeypatch):
+    """A p-even Wigner function spans its own reflection, so the basis of
+    span{v, R v} keeps the rank (1, 1, 2, 3); (|0> + i|1>)/sqrt 2 is not
+    p-even and propagates more rows."""
+    fp = FPParams(alpha=1.1, d=0.3, tbar=1.0)
+    x, p = default_grid(state, fp).axes()
+    w0 = initial_wigner(state, x, p)
+    sv = np.linalg.svd(w0, compute_uv=False)
+    rank = np.count_nonzero(sv > 1e-13 * sv[0])
+    rows = []
+    steps = pdeoracle._steps
+
+    def record(w0, op, dt):
+        rows.append(w0.shape[0])
+        return steps(w0, op, dt)
+
+    monkeypatch.setattr(pdeoracle, "_steps", record)
+    overlap_pde(state, fp)
+    assert len(rows) == 2
+    even = np.max(np.abs(w0 - w0[:, ::-1])) < 1e-12
+    assert rows == [rank, rank] if even else min(rows) > rank
 
 
 def _sparse_operator(p, fp):
