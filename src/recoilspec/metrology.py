@@ -214,6 +214,8 @@ def find_working_point(state: MotionalState, epsilon: float,
     if not isinstance(state, MotionalState):
         raise ConfigError(f"unsupported state type {type(state).__name__}")
     _check_epsilon(epsilon, allow_large_epsilon)
+    if alpha <= 0.0:
+        raise ConfigError(f"alpha must be positive, got {alpha!r}")
     fp = FPParams(alpha=alpha, d=epsilon * alpha, tbar=0.0)   # validates
     t_max = _MARCH_SPAN * state.march_scale() * math.sqrt(2.0 * _LN2) / alpha
     slopes = _along_tbar(state.slopes, fp.alpha, fp.d)

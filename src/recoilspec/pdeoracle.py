@@ -14,19 +14,22 @@ overlap with the initial Wigner function.  This route shares nothing with
 the closed-form and characteristic-function evaluations and serves as
 their cross-check.
 
-Without damping (g = 0) the operator's bands depend only on alpha, d and
-the p spacing, and transposing it or reflecting it in p (R reverses the p
-grid) both flip the sign of the odd first-derivative stencil: op^T =
-R op R, and so M^T = R M R for the step matrix M.  A run of n steps then
-overlaps as <v, W M^n v> = <R M^a R v, W M^b v> with a = ceil(n/2) and
-b = floor(n/2): exact for the interior stencil, broken by the graded rows
-next to the edges only in the deep tails.  One run of a steps from an
-orthonormal basis of span{v, R v} gives both sides, and a state whose
-Wigner function is even in p spans its own reflection and adds no rows.
-With damping the drift g p depends on p, the identity fails, and the
-full-time fields are propagated.  The mass guard checks the states each
-overlap is built from: the ket and the reflected bra of both runs, or
-with damping the full-time fields.
+Each leg of the extrapolation, n steps of Crank-Nicolson, overlaps as
+<v, W M^n v> for the step matrix M and the momentum factors v, and is
+computed as <R M^(n-b) R v, W M^b v>: the ket after b steps and the bra,
+the reflection R v (R reverses the p grid) after n - b steps, reflected
+back.  One run of max(b, n - b) steps from an orthonormal basis of
+span{v, R v} gives both sides, and a state whose Wigner function is even
+in p spans its own reflection and adds no rows.  Without damping (g = 0)
+the operator's bands depend only on alpha, d and the p spacing, and
+transposing it or reflecting it in p both flip the sign of the odd
+first-derivative stencil: op^T = R op R, and so M^T = R M R.  There
+b = floor(n/2) and the run takes half the steps: exact for the interior
+stencil, broken by the graded rows next to the edges only in the deep
+tails.  With damping the drift g p depends on p and the identity fails;
+there b = n, the ket takes all n steps and the bra is R v at step 0, so
+the overlap is <v, W M^n v> itself.  The mass guard checks the ket and the
+reflected bra of both legs.
 """
 
 from __future__ import annotations
@@ -376,41 +379,15 @@ def _steps(w0: np.ndarray, op: np.ndarray, dt: float):
         yield flat[:m].T
 
 
-def _crank_nicolson(w0: np.ndarray, op: np.ndarray, tbar: float,
-                    n_steps: int) -> np.ndarray:
-    """Plain Crank-Nicolson for dW/dtbar = op W: n_steps steps to `tbar`,
-    the rows of `w0` returned in the same layout."""
-    return next(islice(_steps(w0, op, tbar / n_steps), n_steps, None))
-
-
-def _split_run(q: np.ndarray, op: np.ndarray, tbar: float, n: int):
-    """The rows of `q` after b = floor(n/2) and a = ceil(n/2) of the n
-    Crank-Nicolson steps to `tbar`, from one run of a steps."""
+def _split_run(q: np.ndarray, op: np.ndarray, tbar: float, n: int,
+               b: int):
+    """The rows of `q` after b and after n - b of the n Crank-Nicolson steps
+    to `tbar`, from one run of max(b, n - b) steps."""
     steps = _steps(q, op, tbar / n)
-    ket = next(islice(steps, n // 2, None)).copy()
-    return ket, (next(steps) if n % 2 else ket)
-
-
-def propagate(w0: np.ndarray, p: np.ndarray, fp: FPParams,
-              n_steps: int | None = None, osc_k: float = 0.0,
-              check=None) -> np.ndarray:
-    """Richardson-extrapolated Crank-Nicolson integration of the PDE.
-
-    Each row of `w0` is a function of p on the grid `p`.  Returns
-    (4 CN(n) - CN(n/2)) / 3 for the fine step count n = `n_steps` (even, at
-    least 2; by default `_fine_steps`).  Crank-Nicolson's global error is
-    even in dt, so the combination cancels its dt^2 term.  `check`, if
-    given, is called with each run's result before the two are combined.
-    """
-    n_steps = _fine_steps(p, fp, osc_k, n_steps)
-    op = _pde_operator(p, fp)
-    runs = []
-    for n in (n_steps, n_steps // 2):
-        runs.append(_crank_nicolson(w0, op, fp.tbar, n))
-        if check is not None:
-            check(runs[-1])
-    fine, coarse = runs
-    return (4.0 * fine - coarse) / 3.0
+    lo, hi = sorted((b, n - b))
+    early = next(islice(steps, lo, None)).copy()
+    late = next(islice(steps, hi - lo - 1, None)) if hi > lo else early
+    return (early, late) if b == lo else (late, early)
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
@@ -436,13 +413,14 @@ def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
     The PDE acts on p only, so with the thin SVD W0 = U S V only the
     momentum factors V are propagated, W(t) = U S V(t), and the trapezoidal
     overlap and mass contract exactly through the small factor matrices.
-    With g = 0 each run takes half its steps by the p-reflection identity
-    of the module docstring; with g != 0 `propagate` carries the factors
-    to the full time.  An explicit `n_steps` is the fine run's step count
-    (see `propagate`).  Every state the overlaps are built from (the ket
-    and the reflected bra at g = 0, the full-time fields otherwise) must
-    keep the mass on the grid, and the initial Wigner mass must lie within
-    _MASS_TOL of 1.
+    Each leg of the Richardson extrapolation (4 P(n) - P(n/2)) / 3, for the
+    fine step count n (`n_steps`, even and at least 2; by default
+    `_fine_steps`), is one Crank-Nicolson run: the ket is read after b
+    steps and the reflected bra after n - b, with b = floor(n/2) at g = 0
+    and b = n with damping (see the module docstring).  Crank-Nicolson's
+    global error is even in dt, so the combination cancels its dt^2 term.
+    The ket and the reflected bra of both legs must keep the mass on the
+    grid, and the initial Wigner mass must lie within _MASS_TOL of 1.
     """
     if not fps:
         return []
@@ -469,18 +447,11 @@ def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
     rank = int(np.count_nonzero(s > _SVD_RTOL * s[0]))
     u, s = u[:, :rank], s[:rank]
     sv = u.T @ w0
-    v = sv / s[:, None]
     del w0
     us = u * s
     gram_x = us.T @ (wx[:, None] * us)
     mass_x = wx @ us
     osc_k = _osc_wavenumber(state)
-
-    def check_mass(vt):
-        mass_t = float(mass_x @ (vt @ wp))
-        if mass_t < 1.0 - 1e-4:
-            raise GridUnderflowError(
-                f"propagated Wigner mass {mass_t:.8f}; state left the grid")
 
     # v = ket @ q and R v = bra @ q over the orthonormal rows q, from the
     # SVD of the momentum factors S V and their reflections
@@ -492,20 +463,19 @@ def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
 
     out = []
     for fp in fps:
-        if fp.g != 0.0:
-            vt = propagate(v, p, fp, n_steps=n_steps, osc_k=osc_k,
-                           check=check_mass)
-            out.append(float(2.0 * math.pi
-                             * np.sum(gram_x * ((v * wp) @ vt.T))))
-            continue
         fine = _fine_steps(p, fp, osc_k, n_steps)
         op = _pde_operator(p, fp)
         runs = []
         for n in (fine, fine // 2):
-            qb, qa = _split_run(q, op, fp.tbar, n)
+            qb, qa = _split_run(q, op, fp.tbar, n, n if fp.g else n // 2)
             vb, va = ket @ qb, bra @ qa
-            check_mass(vb)
-            check_mass(va)
+            mass_t = min(float(mass_x @ (vt @ wp)) for vt in (vb, va))
+            if mass_t < 1.0 - 1e-4:
+                raise GridUnderflowError(
+                    f"propagated Wigner mass {mass_t:.8f} in the {n}-step run"
+                    f" (dt = {fp.tbar / n:g}) at alpha = {fp.alpha:g}, d ="
+                    f" {fp.d:g}, g = {fp.g:g}, tbar = {fp.tbar:g}: the state"
+                    " left the grid, or the step is too coarse for it")
             runs.append(np.sum(gram_x * ((va[:, ::-1] * wp) @ vb.T)))
         out.append(float(2.0 * math.pi * (4.0 * runs[0] - runs[1]) / 3.0))
     return out

@@ -243,6 +243,17 @@ def test_epsilon_guard():
     recoil_sensitivity(GaussianState.vacuum(), 0.5, allow_large_epsilon=True)
 
 
+@pytest.mark.parametrize("fn", [find_working_point, recoil_sensitivity],
+                         ids=["working-point", "sensitivity"])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("alpha", [0.0, -0.0, -1.0])
+def test_drift_that_is_not_positive_is_a_config_error(fn, eps, alpha):
+    # before the guard: ZeroDivisionError at 0, the diffusion message at
+    # -1 with eps > 0, and a NoCrossingError up to tbar = -754 at eps = 0
+    with pytest.raises(ConfigError, match="alpha"):
+        fn(GaussianState.vacuum(), eps, alpha=alpha)
+
+
 def test_snr_basics():
     assert snr(0.0, 0.5) == 0.0
     assert snr(0.3, 0.5, 4) == pytest.approx(2.0 * snr(0.3, 0.5, 1))

@@ -157,11 +157,13 @@ def _callers(tree, callee):
     ("_folded_rule", "_fock_derivatives"),
     ("find_root_tbar", "find_working_point"),
     ("_typed", "_merge"),
+    ("_steps", "_split_run"),
+    ("_spike_solver", "_steps"),
 ])
 def test_merged_routes_keep_one_caller(callee, caller):
     # every Fock-superposition derivative comes from one quadrature kernel,
-    # every working point from one march, and every config value from one
-    # merge
+    # every working point from one march, every config value from one
+    # merge, and every PDE-oracle overlap from one Crank-Nicolson run
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         callers |= _callers(ast.parse(path.read_text()), callee)

@@ -3,6 +3,7 @@ with the closed-form and characteristic-function overlap evaluations."""
 
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -14,11 +15,27 @@ from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
                         GaussianState, GridUnderflowError, overlap_after,
                         overlap_pde, overlap_pde_batch)
 from recoilspec import pdeoracle
-from recoilspec.pdeoracle import (GridSpec, _crank_nicolson, _EDGES,
+from recoilspec.pdeoracle import (GridSpec, _EDGES, _fine_steps,
                                   _fock_wavefunction, _osc_wavenumber,
                                   _pde_operator, _spike_solver, _y_axis,
-                                  default_grid, initial_wigner, propagate,
-                                  wigner_fock, wigner_gaussian)
+                                  default_grid, initial_wigner, wigner_fock,
+                                  wigner_gaussian)
+
+
+def _crank_nicolson(w0, op, tbar, n_steps):
+    """Plain Crank-Nicolson: the rows of `w0` after n_steps steps of
+    `pdeoracle._steps` to `tbar`."""
+    return next(islice(pdeoracle._steps(w0, op, tbar / n_steps), n_steps,
+                       None))
+
+
+def _richardson(w0, p, fp, n_steps=None, osc_k=0.0):
+    """The full-time fields (4 CN(n) - CN(n/2)) / 3 for the fine step count
+    n of overlap_pde_batch (`n_steps`, or by default `_fine_steps`)."""
+    n = _fine_steps(p, fp, osc_k, n_steps)
+    op = _pde_operator(p, fp)
+    return (4.0 * _crank_nicolson(w0, op, fp.tbar, n)
+            - _crank_nicolson(w0, op, fp.tbar, n // 2)) / 3.0
 
 
 def test_vacuum_point():
@@ -101,6 +118,18 @@ def test_undersized_grid_is_rejected():
                     FPParams(alpha=0.5, d=0.05, tbar=1.0), grid=grid)
 
 
+def test_one_coarse_step_is_named_with_its_setting():
+    """The state stays on the grid, but the coarse run's single step of
+    dt = 1 leaks a dispersive tail to the edge: the message names the run,
+    the setting and both causes."""
+    with pytest.raises(GridUnderflowError, match=(
+            r"propagated Wigner mass 0\.99816368 in the 1-step run"
+            r" \(dt = 1\) at alpha = 2, d = 0, g = 0, tbar = 1: the state"
+            r" left the grid, or the step is too coarse for it")):
+        overlap_pde_batch(GaussianState.vacuum(),
+                          [FPParams(alpha=2.0, d=0.0, tbar=1.0)], n_steps=2)
+
+
 def test_state_that_drifts_off_the_grid_is_rejected():
     # the initial vacuum fits the p grid, but a drift of 8 carries it past
     # the edge at 6
@@ -118,6 +147,26 @@ def test_guard_checks_the_half_time_states_the_overlap_is_built_from():
     vac = GaussianState.vacuum()
     got, = overlap_pde_batch(vac, [fp], grid=GridSpec(8.0, 6.0, 81, 601))
     assert got == pytest.approx(overlap_after(vac, fp), abs=1e-4)
+
+
+def test_guard_sees_the_full_time_ket_of_both_damped_runs():
+    """With damping the ket takes all n steps, and the guard checks it in
+    each run before the two are combined: the fine run's ket at -5 leaves
+    the edge at 6 where the g = 0 half-time states pass, and with two steps
+    the coarse run's single step of dt = 1 leaks as at g = 0."""
+    vac = GaussianState.vacuum()
+    for g in (0.05, 2e-3, -2e-3):
+        with pytest.raises(GridUnderflowError, match=(
+                r"mass 0\.9\d+ in the 50-step run \(dt = 0\.02\) at"
+                rf" alpha = 5, d = 0, g = {g:g}, tbar = 1: the state left")):
+            overlap_pde_batch(
+                vac, [FPParams(alpha=5.0, d=0.0, tbar=1.0, g=g)],
+                grid=GridSpec(8.0, 6.0, 81, 601))
+        with pytest.raises(GridUnderflowError, match=(
+                r"mass 0\.99\d+ in the 1-step run \(dt = 1\) at alpha = 2,"
+                rf" d = 0, g = {g:g}, tbar = 1: the state left the grid")):
+            overlap_pde_batch(
+                vac, [FPParams(alpha=2.0, d=0.0, tbar=1.0, g=g)], n_steps=2)
 
 
 def test_wigner_normalization_all_families():
@@ -148,7 +197,7 @@ def test_low_rank_batch_matches_full_column_propagation(state, min_rank):
     assert np.count_nonzero(sv > 1e-13 * sv[0]) >= min_rank
     full = []
     for fp in fps:
-        wt = propagate(w0, p, fp, osc_k=_osc_wavenumber(state))
+        wt = _richardson(w0, p, fp, osc_k=_osc_wavenumber(state))
         full.append(2.0 * math.pi * np.trapezoid(
             np.trapezoid(w0 * wt, dx=p[1] - p[0], axis=1), dx=x[1] - x[0]))
     assert overlap_pde_batch(state, fps) == pytest.approx(full, rel=0,
@@ -157,24 +206,27 @@ def test_low_rank_batch_matches_full_column_propagation(state, min_rank):
 
 def _full_field_batch(state, fps, grid, n_steps):
     """overlap_pde_batch by the full-field route: the momentum factors
-    propagated to the full time by `propagate`, then contracted."""
+    extrapolated to the full time by `_richardson`, then contracted."""
     x, p = grid.axes()
     wx, wp = pdeoracle._trapezoid_weights(x), pdeoracle._trapezoid_weights(p)
     u, s, v = np.linalg.svd(initial_wigner(state, x, p), full_matrices=False)
     keep = s > 1e-13 * s[0]
     us, v = u[:, keep] * s[keep], v[keep]
     gram_x = us.T @ (wx[:, None] * us)
-    return [2.0 * math.pi * np.sum(gram_x * ((v * wp) @ propagate(
+    return [2.0 * math.pi * np.sum(gram_x * ((v * wp) @ _richardson(
         v, p, fp, n_steps=n_steps, osc_k=_osc_wavenumber(state)).T))
         for fp in fps]
 
 
 # the oracle-check families on its default (alpha, d) grid, then states
-# whose Wigner function is not even in p
+# whose Wigner function is not even in p; every case adds damped settings
+_DAMPED = [FPParams(alpha=0.4, d=0.1, tbar=1.0, g=0.05),
+           FPParams(alpha=1.0, d=0.3, tbar=1.0, g=2e-3),
+           FPParams(alpha=-1.3, d=0.0, tbar=1.0, g=-2e-3)]
 _ORACLE_CHECK = [FPParams(alpha=a, d=d, tbar=1.0) for a in (0.0, 1.0, 2.0)
-                 for d in (0.0, 0.3)]
+                 for d in (0.0, 0.3)] + _DAMPED
 _SPLIT = [FPParams(alpha=0.4, d=0.1, tbar=1.0),
-          FPParams(alpha=-1.3, d=0.0, tbar=1.0)]
+          FPParams(alpha=-1.3, d=0.0, tbar=1.0)] + _DAMPED
 REFLECTION_CASES = [
     (GaussianState.vacuum(), _ORACLE_CHECK),
     (GaussianState.squeezed(1.44), _ORACLE_CHECK),
@@ -193,12 +245,13 @@ REFLECTION_IDS = ["vacuum", "squeezed", "cat", "fock2", "fock0+i1",
 @pytest.mark.parametrize("state, fps", REFLECTION_CASES, ids=REFLECTION_IDS)
 def test_reflected_half_runs_equal_the_full_field_contraction(state, fps,
                                                               n_steps):
-    """At g = 0, <v, W M^n v> = <R M^a R v, W M^b v> (a = ceil(n/2), b =
-    floor(n/2)) gives the overlap of the full-time fields, also for the odd
-    coarse runs of 3 and 1 steps and for states that are not even in p.
-    The grid is the default one for the whole list; one step of dt = 1
-    leaks more than 1e-4 of the mass at alpha = 2 on either route, so the
-    two-step runs leave those settings out."""
+    """At g = 0, <v, W M^n v> = <R M^(n-b) R v, W M^b v> (b = floor(n/2))
+    gives the overlap of the full-time fields, also for the odd coarse runs
+    of 3 and 1 steps and for states that are not even in p.  With damping
+    (b = n) the ket takes all n steps and the bra, R v at step 0, reflects
+    back to v.  The grid is the default one for the whole list; one step of
+    dt = 1 leaks more than 1e-4 of the mass at alpha = 2 on either route,
+    so the two-step runs leave those settings out."""
     grid = default_grid(state, FPParams(
         alpha=max(abs(f.alpha) for f in fps), d=max(f.d for f in fps),
         tbar=1.0))
@@ -266,12 +319,13 @@ def _propagate_with_explicit_rhs(w0, p, fp, n_steps):
 def test_step_equals_the_explicit_right_hand_side(state, alpha, d):
     """w' = 2 L^-1 w - w is the step L w' = (I + dt/2 op) w, L = I - dt/2 op,
     on the SVD momentum factors that overlap_pde_batch propagates, and
-    propagate extrapolates the runs of n and n/2 such steps."""
+    the runs of n and n/2 such steps extrapolate as (4 CN(n) - CN(n/2))
+    / 3."""
     fp = FPParams(alpha=alpha, d=d, tbar=1.0)
     x, p = default_grid(state, fp).axes()
     u, s, v = np.linalg.svd(initial_wigner(state, x, p), full_matrices=False)
     v = v[s > 1e-13 * s[0]]
-    got = propagate(v, p, fp, n_steps=200)
+    got = _richardson(v, p, fp, n_steps=200)
     want = (4.0 * _propagate_with_explicit_rhs(v, p, fp, n_steps=200)
             - _propagate_with_explicit_rhs(v, p, fp, n_steps=100)) / 3.0
     assert np.max(np.abs(got)) > 1e-2
@@ -313,20 +367,6 @@ def test_banded_solve_matches_superlu(state, fp):
                                atol=1e-11 * np.max(np.abs(want)))
 
 
-def test_check_sees_both_runs_before_they_are_combined():
-    fp = FPParams(alpha=1.0, d=0.1, tbar=1.0)
-    x, p = default_grid(GaussianState.vacuum(), fp).axes()
-    w0 = initial_wigner(GaussianState.vacuum(), x[::8], p)
-    seen = []
-    got = propagate(w0, p, fp, n_steps=40, check=seen.append)
-    assert [run.shape for run in seen] == [w0.shape, w0.shape]
-    np.testing.assert_allclose(got, (4.0 * seen[0] - seen[1]) / 3.0,
-                               rtol=0, atol=1e-15)
-    np.testing.assert_allclose(
-        seen[1], _crank_nicolson(w0, _pde_operator(p, fp), fp.tbar, 20),
-        rtol=0, atol=1e-15)
-
-
 def _factor_overlap(state, fp, run):
     """Remain probability, contracted as in overlap_pde_batch, after `run`
     maps the SVD momentum factors of the initial Wigner matrix to time
@@ -351,7 +391,7 @@ ORDER_IDS = ["vacuum", "squeezed", "cat", "fock2"]
 @pytest.mark.parametrize("alpha, d", [(1.1, 0.3), (0.5, 0.1)])
 def test_plain_crank_nicolson_is_second_order(state, alpha, d):
     """(P_N - P_N/2) / (P_N/2 - P_N/4) = 1/4 for an error even in dt with a
-    leading dt^2 term, which the extrapolation in propagate cancels."""
+    leading dt^2 term, which overlap_pde_batch's extrapolation cancels."""
     fp = FPParams(alpha=alpha, d=d, tbar=1.0)
     p_n = [_factor_overlap(
         state, fp, lambda v, p, n=n: _crank_nicolson(
