@@ -64,17 +64,16 @@ class PulseParams:
         return replace(self, detuning=detuning)
 
 
-def bloch_matrix(p: PulseParams, doppler_momentum: float = 0.0):
+def bloch_matrix(p: PulseParams):
     """Coefficient matrix M and drive vector m of the Bloch equations.
 
-    `doppler_momentum` is the dimensionless momentum coordinate; the ion sees
-    the Doppler-shifted detuning Delta - eta_bar*nu*p.
+    Motion enters through the detuning alone: at dimensionless momentum p'
+    the ion sees `p.with_detuning(p.detuning - p.eta_bar * p.mode_freq * p')`.
     """
-    delta_p = p.detuning - p.eta_bar * p.mode_freq * doppler_momentum
     half = 0.5 * p.linewidth
     m = np.array([
-        [-half, -delta_p, 0.0],
-        [delta_p, -half, -p.rabi],
+        [-half, -p.detuning, 0.0],
+        [p.detuning, -half, -p.rabi],
         [0.0, p.rabi, -p.linewidth],
     ])
     return m, _M_VEC.copy()
@@ -88,27 +87,25 @@ _REGRESS = np.zeros((4, 4))
 _REGRESS[1, 3] = _REGRESS[3, 1] = 1.0
 
 
-def affine_generator(p: PulseParams, doppler_momentum: float = 0.0):
+def affine_generator(p: PulseParams):
     """A = [[M, Gamma m], [0, 0]], so that d/dt (s, 1) = A (s, 1)."""
-    m, drive = bloch_matrix(p, doppler_momentum)
+    m, drive = bloch_matrix(p)
     a = np.zeros((4, 4))
     a[:3, :3], a[:3, 3] = m, p.linewidth * drive
     return a
 
 
 @lru_cache(maxsize=256)
-def _cached_propagator(p: PulseParams, doppler_momentum: float):
+def _cached_propagator(p: PulseParams):
     """(taus, vecs) -> e^{tau A} v row by row, vecs shaped taus + (4,): a
     stack of 4x4 products, so a batch equals single calls bit for bit."""
-    a = affine_generator(p, doppler_momentum)
+    a = affine_generator(p)
     return lambda taus, v: (expm(taus[..., None, None] * a)
                             @ v[..., None])[..., 0]
 
 
-def _checked_inputs(p: PulseParams, doppler_momentum: float, *times):
-    """The times, broadcast, once they and the momentum are in range."""
-    if not np.isfinite(bloch_matrix(p, doppler_momentum)[0]).all():
-        raise ConfigError(f"doppler_momentum={doppler_momentum!r} is invalid")
+def _checked_inputs(p: PulseParams, *times):
+    """The times, broadcast, once they lie in [0, pulse_duration]."""
     times = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in times))
     t_max = p.pulse_duration * (1.0 + 1e-12)       # NaN fails both tests
     if not all(np.all((t >= 0.0) & (t <= t_max)) for t in times):
@@ -116,23 +113,22 @@ def _checked_inputs(p: PulseParams, doppler_momentum: float, *times):
     return times
 
 
-def solve_bloch(p: PulseParams, t, doppler_momentum: float = 0.0):
+def solve_bloch(p: PulseParams, t):
     """Bloch vector after a ground-state start, shape np.shape(t) + (3,)."""
-    (t,) = _checked_inputs(p, doppler_momentum, t)
-    return _cached_propagator(p, doppler_momentum)(t, _Z0)[..., :3]
+    (t,) = _checked_inputs(p, t)
+    return _cached_propagator(p)(t, _Z0)[..., :3]
 
 
-def steady_state(p: PulseParams, doppler_momentum: float = 0.0) -> np.ndarray:
+def steady_state(p: PulseParams) -> np.ndarray:
     """Fixed point -Gamma M^{-1} m of the Bloch equations."""
-    _checked_inputs(p, doppler_momentum)
-    return -p.linewidth * np.linalg.solve(*bloch_matrix(p, doppler_momentum))
+    return -p.linewidth * np.linalg.solve(*bloch_matrix(p))
 
 
-def correlation_yy(p: PulseParams, t, t_prime, doppler_momentum: float = 0.0):
+def correlation_yy(p: PulseParams, t, t_prime):
     """Re<sigma_y(t) sigma_y(t')> for 0 <= t' <= t <= tau_p, broadcast."""
-    t, t_prime = _checked_inputs(p, doppler_momentum, t, t_prime)
+    t, t_prime = _checked_inputs(p, t, t_prime)
     if np.any(t_prime > t):
         raise ConfigError("correlation_yy requires t_prime <= t")
-    prop = _cached_propagator(p, doppler_momentum)
+    prop = _cached_propagator(p)
     start = prop(t_prime, _Z0) @ _REGRESS.T   # exact in any order: 0s and 1s
     return prop(t - t_prime, start)[..., 1][()]

@@ -337,8 +337,6 @@ def cmd_shift(cfg: dict, _seed: int):
 
 def cmd_optimize(cfg: dict, seed: int):
     sec = cfg["optimize"]
-    if not all(type(n) is int for n in sec["basis"]):
-        raise ConfigError(f"optimize.basis expects integers: {sec['basis']}")
     if sec["restarts"] < 1:
         raise ConfigError(f"optimize.restarts must be at least 1, got "
                           f"{sec['restarts']}")

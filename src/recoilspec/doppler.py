@@ -19,6 +19,8 @@ from .phasespace import FPParams, MotionalState, overlap_slopes
 from .recoil import coefficients_with_slopes
 
 MAX_GTBAR = 0.1
+# |dP/dDelta| below this leaves the sampled flank too flat to define a shift
+_SLOPE_FLOOR = 1e-18
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,8 @@ def asymmetric_overlap(state: MotionalState, fp: FPParams):
 
 
 def two_point_shift(state: MotionalState, pulse: PulseParams,
-                    p0: float = 0.5, neglect_diffusion: bool = False,
-                    slope_floor: float = 1e-18) -> ShiftResult:
+                    p0: float = 0.5,
+                    neglect_diffusion: bool = False) -> ShiftResult:
     """Systematic frequency offset of the resonance sampled at P = p0.
 
     Coefficients are evaluated at the pulse detuning and the working point
@@ -79,7 +81,7 @@ def two_point_shift(state: MotionalState, pulse: PulseParams,
         state, FPParams(alpha=alpha0, d=d0, tbar=tstar))
     dp_ddelta = dp_da * da_ddelta + (0.0 if neglect_diffusion
                                      else dp_dd * dd_ddelta)
-    if abs(dp_ddelta) < slope_floor:
+    if abs(dp_ddelta) < _SLOPE_FLOOR:
         raise FlatFlankError("overlap slope too small to define a shift")
     shift = -delta_p / dp_ddelta
     shift_analytic = (pulse.lamb_dicke * pulse.mode_freq

@@ -297,9 +297,7 @@ def fisher_imperfect(p: float, slope: float, eta: float) -> float:
     return (1.0 - 2.0 * eta) ** 2 * slope**2 / var
 
 
-def phase_mismatch_sensitivity(r: float, dphi: float, epsilon: float,
-                               p0: float = 0.5, alpha: float = 1.0,
-                               allow_large_epsilon: bool = False) -> float:
+def phase_mismatch_sensitivity(r: float, dphi: float, epsilon: float) -> float:
     """|S| when the projector's squeezing axis is rotated by dphi from the
     probe's (both squeezed by r, drift-only definition)."""
     if r < 0.0:
@@ -308,5 +306,4 @@ def phase_mismatch_sensitivity(r: float, dphi: float, epsilon: float,
     proj = GaussianState.squeezed(r, math.pi / 2 - dphi)
     # the overlap sees only probe.cov + proj.cov
     pair = GaussianState(np.zeros(2), 0.5 * (probe.cov + proj.cov))
-    return recoil_sensitivity(pair, epsilon, p0=p0, alpha=alpha,
-                              allow_large_epsilon=allow_large_epsilon).s_abs
+    return recoil_sensitivity(pair, epsilon).s_abs

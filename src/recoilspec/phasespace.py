@@ -21,6 +21,7 @@ about it: `march_step`, `march_scale` and `reflection_symmetric`.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -64,12 +65,16 @@ class GaussianState:
         cov = np.asarray(cov, dtype=float)
         if mean.shape != (2,) or cov.shape != (2, 2):
             raise ConfigError("mean must be length 2, cov 2x2")
+        with np.errstate(over="ignore"):
+            sym = 0.5 * (cov + cov.T)
+        if not (np.isfinite(mean).all() and np.isfinite(sym).all()):
+            raise ConfigError("mean and covariance must be finite")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ConfigError("covariance must be symmetric")
-        if not np.linalg.det(cov) >= 0.25 * (1.0 - 1e-9):   # NaN included
+        if not np.linalg.det(cov) >= 0.25 * (1.0 - 1e-9):
             raise ConfigError("covariance violates the uncertainty relation")
         self.mean = mean
-        self.cov = 0.5 * (cov + cov.T)
+        self.cov = sym
 
     @classmethod
     def _unchecked(cls, mean, cov) -> "GaussianState":
@@ -97,6 +102,8 @@ class GaussianState:
         exactly: a rounded cos(pi/2) would leak e^{2r} into Var(p)."""
         if not abs(2.0 * r) <= _LOG_MAX:
             raise ConfigError(f"squeezing r={r} overflows the covariance")
+        if not math.isfinite(phase):
+            raise ConfigError(f"squeezing phase={phase} must be finite")
         theta = phase - math.pi / 2
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
@@ -213,6 +220,14 @@ class CatState:
         return True
 
 
+def check_fock_levels(levels, name: str) -> None:
+    """Refuse Fock levels that are not integers, bools among them."""
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+               for n in levels):
+        raise ConfigError(f"{name} must hold integer Fock levels, got "
+                          f"{list(levels)}")
+
+
 class FockSuperposition:
     """Finite superposition sum_n c_n |n>, truncated at n_max <= 64."""
 
@@ -236,6 +251,7 @@ class FockSuperposition:
 
     @classmethod
     def from_dict(cls, entries: dict[int, complex]) -> "FockSuperposition":
+        check_fock_levels(entries, "a superposition")
         if not entries or min(entries) < 0 or max(entries) > cls.MAX_N:
             raise ConfigError(f"need Fock levels in [0, {cls.MAX_N}], "
                               f"got {sorted(entries)}")
@@ -334,11 +350,10 @@ _LOG_FACTORIAL = np.array([math.lgamma(n + 1.0)
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
-@lru_cache(maxsize=64)
 def _level_tables(levels: tuple[int, ...]):
-    """What `_kick_elements` needs of the level pairs m, n, built once per
-    level set: the distinct k = |m - n|, the recurrence terms for them, and
-    for each pair lo = min(m, n), the index of its k and its factor."""
+    """What `_kick_elements` needs of the level pairs m, n of one cached
+    `_padded_levels` layout: the distinct k = |m - n|, their recurrence
+    terms, and for each pair lo = min(m, n), the index of its k and factor."""
     idx = np.array(levels)
     lo = np.minimum.outer(idx, idx)
     k = np.abs(np.subtract.outer(idx, idx))

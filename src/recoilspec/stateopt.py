@@ -18,7 +18,7 @@ from .bloch import PulseParams
 from .errors import (ConfigError, ConvergenceError, NoCrossingError,
                      OptimizerError)
 from .metrology import _hermite_newton, find_working_point
-from .phasespace import (FockSuperposition, GaussianState,
+from .phasespace import (FockSuperposition, GaussianState, check_fock_levels,
                          real_fock_derivatives)
 from .recoil import DriftDiffusion, compute_coefficients
 
@@ -33,6 +33,7 @@ _MAX_ITER = 200       # iterations before a restart ends as not converged
 _ARMIJO = 1e-4        # sufficient-decrease constant of the line search
 _MAX_HALVINGS = 30    # backtracking halvings before the line search fails
 _PLATEAU = 1e3        # objective of a point without a working point
+_R_MAX = 20.0         # squeezing searched by the single-photon budget
 
 # NumPy's SeedSequence hash constants, and the PCG64 multiplier
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -53,6 +54,7 @@ class OptimizationProblem:
     def __post_init__(self):
         if not self.basis:
             raise ConfigError("basis must name at least one Fock level")
+        check_fock_levels(self.basis, "basis")
         if len(set(self.basis)) != len(self.basis):
             raise ConfigError("basis indices must be distinct")
         if any(n < 0 for n in self.basis):
@@ -353,8 +355,8 @@ def optimize_fock_superposition(prob: OptimizationProblem,
                               n_converged=n_converged)
 
 
-def single_photon_budget(pulse: PulseParams, p0: float = 0.5,
-                         r_max: float = 20.0) -> SinglePhotonBudget:
+def single_photon_budget(pulse: PulseParams,
+                         p0: float = 0.5) -> SinglePhotonBudget:
     """Squeezing needed so one scattered photon on average reaches P = p0."""
     if not 0.0 < p0 < 1.0:
         raise ConfigError("p0 must lie in (0, 1)")
@@ -363,17 +365,15 @@ def single_photon_budget(pulse: PulseParams, p0: float = 0.5,
         raise ConfigError("mean photon number per pulse must be positive")
     tstar = 1.0 / coeffs.n1
     u, v = coeffs.alpha_p * tstar, coeffs.d_pp * tstar
-
-    GaussianState.squeezed(r_max)        # ConfigError if e^{2 r_max} overflows
     origin = np.zeros(2)
 
-    def gap(r):   # momentum-squeezed vacuum, r in [0, r_max]: valid
+    def gap(r):   # momentum-squeezed vacuum, r in [0, _R_MAX]: valid
         cov = 0.5 * np.diag([math.exp(2 * r), math.exp(-2 * r)])
         p, p_u, p_v = GaussianState._unchecked(origin, cov).slopes(u, v)
         # P depends on r only through u e^r and v e^{2r}
         return float(p) - p0, float(u * p_u + 2.0 * v * p_v)
 
-    (gap_lo, slope_lo), (gap_hi, slope_hi) = gap(0.0), gap(r_max)
+    (gap_lo, slope_lo), (gap_hi, slope_hi) = gap(0.0), gap(_R_MAX)
     if not (math.isfinite(gap_lo) and math.isfinite(gap_hi)):
         raise ConvergenceError(f"single-photon budget overlap is not finite "
                                f"for {pulse}")
@@ -383,7 +383,7 @@ def single_photon_budget(pulse: PulseParams, p0: float = 0.5,
         if gap_hi > 0.0:
             raise NoCrossingError(
                 "overlap cannot be brought to p0 by squeezing alone")
-        r_req = _hermite_newton(gap, 0.0, r_max, gap_lo, gap_hi,
+        r_req = _hermite_newton(gap, 0.0, _R_MAX, gap_lo, gap_hi,
                                 slope_lo, slope_hi)
     return SinglePhotonBudget(pulse=pulse, coeffs=coeffs, tstar=tstar,
                               r_required=r_req, nbar=math.sinh(r_req) ** 2,

@@ -1,10 +1,24 @@
 import math
+import os
 
 import pytest
 
+import recoilspec
 from recoilspec import PulseParams
 
 TWO_PI = 2.0 * math.pi
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _child_processes_import_this_package():
+    """Tests that start the CLI in a child process need it to import the
+    package this session imports, which pytest's `pythonpath` setting
+    finds in src/."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH",
+                  os.path.dirname(os.path.dirname(recoilspec.__file__)),
+                  prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

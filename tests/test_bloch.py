@@ -105,6 +105,11 @@ def test_correlation_rejects_reversed_times(dipole_pulse):
         correlation_yy(dipole_pulse, 10e-9, 40e-9)
 
 
+def _doppler_shifted(p, momentum):
+    """The pulse as seen by an ion at dimensionless momentum `momentum`."""
+    return p.with_detuning(p.detuning - p.eta_bar * p.mode_freq * momentum)
+
+
 def test_steady_state_is_fixed_point(dipole_pulse):
     m, mv = bloch_matrix(dipole_pulse)
     s = steady_state(dipole_pulse)
@@ -112,8 +117,8 @@ def test_steady_state_is_fixed_point(dipole_pulse):
     assert np.max(np.abs(residual)) < 1e-12 * dipole_pulse.linewidth
     # (s, 1) is a fixed point of the affine generator, Doppler-shifted too
     for momentum in (0.0, 0.7, -2.5):
-        s = steady_state(dipole_pulse, momentum)
-        residual = affine_generator(dipole_pulse, momentum) @ np.append(s, 1.0)
+        p = _doppler_shifted(dipole_pulse, momentum)
+        residual = affine_generator(p) @ np.append(steady_state(p), 1.0)
         assert np.max(np.abs(residual)) < 1e-12 * dipole_pulse.linewidth
 
 
@@ -157,17 +162,18 @@ def test_bloch_vector_stays_in_ball(rabi, detuning, frac):
 ])
 def test_arrays_equal_scalar_calls_bit_for_bit(dipole_pulse, rabi_over_gamma,
                                                detuning, momentum):
-    p = replace(dipole_pulse, detuning=detuning,
-                rabi=rabi_over_gamma * dipole_pulse.linewidth)
+    p = _doppler_shifted(replace(dipole_pulse, detuning=detuning,
+                                 rabi=rabi_over_gamma * dipole_pulse.linewidth),
+                         momentum)
     t = np.linspace(0.0, p.pulse_duration, 9)
     t_in = t[:, None] * np.linspace(0.0, 1.0, 6)
-    want = [solve_bloch(p, x, momentum) for x in t]
-    assert np.array_equal(solve_bloch(p, t, momentum), want)
-    want = [[correlation_yy(p, a, b, momentum) for b in row]
+    want = [solve_bloch(p, x) for x in t]
+    assert np.array_equal(solve_bloch(p, t), want)
+    want = [[correlation_yy(p, a, b) for b in row]
             for a, row in zip(t, t_in)]
-    assert np.array_equal(correlation_yy(p, t[:, None], t_in, momentum), want)
-    row = [correlation_yy(p, t[-1], b, momentum) for b in t]
-    assert np.array_equal(correlation_yy(p, t[-1], t, momentum), row)
+    assert np.array_equal(correlation_yy(p, t[:, None], t_in), want)
+    row = [correlation_yy(p, t[-1], b) for b in t]
+    assert np.array_equal(correlation_yy(p, t[-1], t), row)
 
 
 _TAU = 50e-9                                   # the dipole pulse's length
@@ -196,10 +202,7 @@ def test_bad_times_and_momenta_raise_config_error(dipole_pulse, bad_time,
              lambda: correlation_yy(p, good, bad_time),
              lambda: correlation_yy(p, [good, bad_time], [0.0, 0.0]),
              lambda: correlation_yy(p, good, [0.0, bad_time]),
-             lambda: solve_bloch(p, good, bad_momentum),
-             lambda: solve_bloch(p, [good], bad_momentum),
-             lambda: steady_state(p, bad_momentum),
-             lambda: correlation_yy(p, good, good, bad_momentum)]
+             lambda: _doppler_shifted(p, bad_momentum)]
     for call in calls:
         with pytest.raises(ConfigError):
             call()

@@ -10,9 +10,10 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import eval_genlaguerre, gammaln
 
 from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
-                        GaussianState, UnsupportedDampingError,
-                        evolve_gaussian, find_working_point, overlap_after,
-                        overlap_gaussian, overlap_slopes)
+                        GaussianState, OptimizationProblem,
+                        UnsupportedDampingError, evolve_gaussian,
+                        find_working_point, overlap_after, overlap_gaussian,
+                        overlap_slopes, phase_mismatch_sensitivity)
 from recoilspec.phasespace import (_hermite_e_rule, _kick_elements,
                                    _level_tables, _position_times,
                                    real_fock_derivatives)
@@ -474,6 +475,44 @@ def test_state_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError, match=field):
                 FPParams(**{"alpha": 1.0, "d": 0.1, "tbar": 1.0, field: bad})
+
+
+@pytest.mark.parametrize("mean, cov", [
+    ([math.nan, 0.0], 0.5 * np.eye(2)),
+    ([0.0, math.inf], 0.5 * np.eye(2)),
+    ([0.0, 0.0], [[math.inf, 0.0], [0.0, 0.5]]),
+    ([0.0, 0.0], [[0.5, math.nan], [math.nan, 0.5]]),
+    ([0.0, 0.0], [[1.0, 1e308], [1e308, 1.0]]),   # cov + cov.T overflows
+])
+def test_non_finite_gaussian_moments_raise_config_error(mean, cov):
+    with pytest.raises(ConfigError, match="finite"):
+        GaussianState(mean, cov)
+
+
+@pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+def test_non_finite_squeezing_phase_raises_config_error(phase):
+    with pytest.raises(ConfigError, match="phase"):
+        GaussianState.squeezed(1.0, phase)
+    with pytest.raises(ConfigError, match="phase"):
+        phase_mismatch_sensitivity(1.0, phase, 0.1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FockSuperposition.from_dict({1.5: 1.0}),
+    lambda: FockSuperposition.from_dict({2.0: 1.0}),
+    lambda: FockSuperposition.from_dict({True: 1.0}),
+    lambda: OptimizationProblem(basis=(2.0, 4.0)),
+    lambda: OptimizationProblem(basis=(2, "a")),
+    lambda: OptimizationProblem(basis=(False, 2)),
+])
+def test_non_integer_fock_levels_raise_config_error(make):
+    with pytest.raises(ConfigError, match="integer Fock levels"):
+        make()
+
+
+def test_numpy_integer_fock_levels_are_accepted():
+    assert FockSuperposition.from_dict({np.int64(2): 1.0}).nbar == 2.0
+    assert OptimizationProblem(basis=(np.int64(2), 4)).basis[0] == 2
 
 
 @settings(max_examples=30, deadline=None)

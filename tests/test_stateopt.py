@@ -361,4 +361,4 @@ def test_budget_weaker_coupling_needs_more_squeezing(dipole_pulse):
 
 def test_budget_unreachable_target_raises(dipole_pulse):
     with pytest.raises(NoCrossingError):
-        single_photon_budget(dipole_pulse, p0=1e-12, r_max=0.1)
+        single_photon_budget(dipole_pulse, p0=1e-12)
