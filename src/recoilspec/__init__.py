@@ -6,7 +6,7 @@ the motional probe state -> overlap signals, recoil sensitivity, Fisher
 information bounds, Doppler systematics and probe-state optimization.
 """
 
-from .bloch import PulseParams, correlation_yy, solve_bloch, steady_state
+from .bloch import PulseParams
 from .doppler import ShiftResult, asymmetric_overlap, two_point_shift
 from .errors import (ConfigError, ConvergenceError, FlatFlankError,
                      GridUnderflowError, NoCrossingError, OptimizerError,
@@ -16,7 +16,7 @@ from .metrology import (SensitivityResult, WorkingPoint, fisher_binary,
                         fisher_imperfect, find_working_point,
                         phase_mismatch_sensitivity, qfi_sensitivity_bound,
                         recoil_sensitivity, snr)
-from .pdeoracle import GridSpec, overlap_pde, overlap_pde_batch
+from .pdeoracle import GridSpec, overlap_pde_batch
 from .phasespace import (CatState, FockSuperposition, FPParams, GaussianState,
                          evolve_gaussian, overlap_after, overlap_gaussian,
                          overlap_slopes)
@@ -29,7 +29,7 @@ from .stateopt import (OptimizationProblem, OptimizationResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PulseParams", "correlation_yy", "solve_bloch", "steady_state",
+    "PulseParams",
     "ShiftResult", "asymmetric_overlap", "two_point_shift",
     "ConfigError", "ConvergenceError", "FlatFlankError", "GridUnderflowError",
     "NoCrossingError", "OptimizerError", "PerturbativeRegimeError",
@@ -37,7 +37,7 @@ __all__ = [
     "SensitivityResult", "WorkingPoint", "fisher_binary", "fisher_imperfect",
     "find_working_point", "phase_mismatch_sensitivity",
     "qfi_sensitivity_bound", "recoil_sensitivity", "snr",
-    "GridSpec", "overlap_pde", "overlap_pde_batch",
+    "GridSpec", "overlap_pde_batch",
     "CatState", "FockSuperposition", "FPParams", "GaussianState",
     "evolve_gaussian", "overlap_after", "overlap_gaussian", "overlap_slopes",
     "DriftDiffusion", "coefficients_with_slopes", "compute_coefficients",

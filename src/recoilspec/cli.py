@@ -29,6 +29,9 @@ from .stateopt import (OptimizationProblem, optimize_fock_superposition,
                        single_photon_budget)
 
 TWO_PI = 2.0 * math.pi
+# Largest value of a count key (scan points, oracle grid points and their
+# product, optimizer restarts), checked before anything is built from it.
+MAX_COUNT = 100_000
 
 DEFAULT_CONFIG = {
     "pulse": {
@@ -225,9 +228,22 @@ def write_table(out, fmt: str, cfg: dict, command: str,
     return text
 
 
+def _counts(cfg: dict, *keys: str) -> list[int]:
+    """The values of the count keys 'section.key', each and their product
+    checked to lie in [1, MAX_COUNT]."""
+    values = [cfg[sec][name] for sec, _, name in
+              (key.partition(".") for key in keys)]
+    for key, n in zip(keys, values):
+        if not 1 <= n <= MAX_COUNT:
+            raise ConfigError(f"{key} must lie in [1, {MAX_COUNT}], got {n}")
+    total = math.prod(values)
+    if total > MAX_COUNT:
+        raise ConfigError(f"{' * '.join(keys)} must be at most {MAX_COUNT}, "
+                          f"got {total}")
+    return values
+
+
 def _grid(lo: float, hi: float, n: int, log: bool = False) -> np.ndarray:
-    if n < 1:
-        raise ConfigError("grid needs at least one point")
     if log and (lo <= 0 or hi <= 0):
         raise ConfigError("log grid needs positive bounds")
     if n == 1:
@@ -242,10 +258,11 @@ def _grid(lo: float, hi: float, n: int, log: bool = False) -> np.ndarray:
 
 def cmd_coeffs(cfg: dict, _seed: int):
     sec = cfg["coeffs"]
+    (n,) = _counts(cfg, "coeffs.points")
     base = pulse_from_config(cfg)
     deltas = _grid(float(sec["detuning_hz_min"]),
-                   float(sec["detuning_hz_max"]), int(sec["points"]))
-    if int(sec["points"]) == 1:
+                   float(sec["detuning_hz_max"]), n)
+    if n == 1:
         deltas = np.array([cfg["pulse"]["detuning_hz"]], dtype=float)
 
     def one(delta_hz):
@@ -262,12 +279,13 @@ def cmd_coeffs(cfg: dict, _seed: int):
 
 def cmd_resonance(cfg: dict, _seed: int):
     sec = cfg["resonance"]
+    (n,) = _counts(cfg, "resonance.points")
     base = pulse_from_config(cfg)
     state = state_from_spec(cfg["state"])
     tbar = float(sec["tbar"])
     include_doppler = bool(sec["include_doppler"])
     deltas = _grid(float(sec["detuning_hz_min"]),
-                   float(sec["detuning_hz_max"]), int(sec["points"]))
+                   float(sec["detuning_hz_max"]), n)
 
     def one(delta_hz):
         p = base.with_detuning(TWO_PI * float(delta_hz))
@@ -286,8 +304,9 @@ def cmd_resonance(cfg: dict, _seed: int):
 
 def cmd_sensitivity(cfg: dict, _seed: int):
     sec = cfg["sensitivity"]
-    eps = _grid(float(sec["epsilon_min"]), float(sec["epsilon_max"]),
-                int(sec["points"]), log=bool(sec["log_grid"]))
+    (n,) = _counts(cfg, "sensitivity.points")
+    eps = _grid(float(sec["epsilon_min"]), float(sec["epsilon_max"]), n,
+                log=bool(sec["log_grid"]))
     states = [state_from_spec(s) for s in sec["states"]]
     specs = [_spec_text(s) for s in sec["states"]]
     mode = str(sec["mode"])
@@ -337,15 +356,12 @@ def cmd_shift(cfg: dict, _seed: int):
 
 def cmd_optimize(cfg: dict, seed: int):
     sec = cfg["optimize"]
-    if sec["restarts"] < 1:
-        raise ConfigError(f"optimize.restarts must be at least 1, got "
-                          f"{sec['restarts']}")
+    (restarts,) = _counts(cfg, "optimize.restarts")
     prob = OptimizationProblem(basis=tuple(sec["basis"]),
                                nbar_max=float(sec["nbar_max"]),
                                epsilon=float(sec["epsilon"]),
                                p0=float(sec["p0"]), mode=str(sec["mode"]))
-    res = optimize_fock_superposition(prob, n_restarts=int(sec["restarts"]),
-                                      seed=seed)
+    res = optimize_fock_superposition(prob, n_restarts=restarts, seed=seed)
     state = FockSuperposition.from_dict(
         {n: c for n, c in zip(prob.basis, res.coeffs)})
     cols = ([f"c_{n}" for n in prob.basis]
@@ -367,9 +383,8 @@ def cmd_budget(cfg: dict, _seed: int):
 
 def cmd_oracle_check(cfg: dict, _seed: int):
     sec = cfg["oracle_check"]
-    n_alpha, n_d = int(sec["alpha_points"]), int(sec["d_points"])
-    if n_alpha < 1 or n_d < 1:
-        raise ConfigError("oracle grid needs at least one alpha and d point")
+    n_alpha, n_d = _counts(cfg, "oracle_check.alpha_points",
+                           "oracle_check.d_points")
     fps = [FPParams(alpha=float(a), d=float(d), tbar=1.0)
            for a in np.linspace(0.0, 2.0, n_alpha)
            for d in np.linspace(0.0, 0.3, n_d)]

@@ -57,6 +57,8 @@ class SensitivityResult:
 
 
 def _check_epsilon(epsilon: float, allow_large: bool):
+    if not math.isfinite(epsilon):
+        raise ConfigError(f"epsilon={epsilon} must be finite")
     if epsilon < 0.0:
         raise ConfigError("epsilon must be non-negative")
     if epsilon > DEFAULT_EPS_MAX and not allow_large:

@@ -396,13 +396,6 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     return w
 
 
-def overlap_pde(state: MotionalState, fp: FPParams,
-                grid: GridSpec | None = None,
-                n_steps: int | None = None) -> float:
-    """Remain probability via grid propagation of the Wigner function."""
-    return overlap_pde_batch(state, [fp], grid=grid, n_steps=n_steps)[0]
-
-
 def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
                       grid: GridSpec | None = None,
                       n_steps: int | None = None) -> list[float]:

@@ -100,7 +100,9 @@ class GaussianState:
         The covariance is rotated from the momentum-squeezed frame by
         phase - pi/2, so the default phase gives diag(e^{2r}, e^{-2r})/2
         exactly: a rounded cos(pi/2) would leak e^{2r} into Var(p)."""
-        if not abs(2.0 * r) <= _LOG_MAX:
+        if not math.isfinite(r):
+            raise ConfigError(f"squeezing r={r} must be finite")
+        if abs(2.0 * r) > _LOG_MAX:
             raise ConfigError(f"squeezing r={r} overflows the covariance")
         if not math.isfinite(phase):
             raise ConfigError(f"squeezing phase={phase} must be finite")

@@ -61,19 +61,6 @@ class DriftDiffusion:
             return 0.0 if self.d_pp == 0.0 else math.inf
         return self.d_pp / self.alpha_p
 
-    def per_second(self, p: PulseParams) -> dict:
-        """Coefficients per unit wall-clock time (one pulse per trap period)."""
-        rate = p.mode_freq / (2.0 * math.pi)
-        return {
-            "alpha_x": self.alpha_x * rate,
-            "alpha_p": self.alpha_p * rate,
-            "d_xx": self.d_xx * rate,
-            "d_pp": self.d_pp * rate,
-            "d_xp": self.d_xp * rate,
-            "g": self.g * rate,
-            "n1": self.n1 * rate,
-        }
-
 
 def _pulse_blocks(p: PulseParams):
     """The complex 10x10 blocks for b = +1 and b = -1 as a (2, 10, 10)

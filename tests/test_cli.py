@@ -177,6 +177,39 @@ def test_invalid_workflow_settings_exit_2_naming_their_key(key, value):
     assert key in err
 
 
+# 11 * 9091 = 100001: each oracle axis in bound, their product one above
+@pytest.mark.parametrize("values", [
+    {"coeffs.points": 100_001}, {"resonance.points": 100_001},
+    {"sensitivity.points": 100_001}, {"oracle_check.alpha_points": 100_001},
+    {"oracle_check.d_points": 100_001},
+    {"oracle_check.alpha_points": 11, "oracle_check.d_points": 9091},
+    {"optimize.restarts": 100_001},
+], ids=" * ".join)
+def test_counts_above_the_bound_exit_2_before_any_work(monkeypatch, values):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the counts were checked")
+
+    # the scan grids, the oracle's drift/diffusion list and the optimizer
+    # (which draws the start angles) are where a count turns into work
+    for name in ("_grid", "FPParams", "optimize_fock_superposition"):
+        monkeypatch.setattr(cli, name, refuse)
+    key = " * ".join(values)
+    argv = [key.split(".")[0].replace("_", "-")]
+    for k, v in values.items():
+        argv += ["--set", f"{k}={v}"]
+    code, out, err = _run_in_process(argv)
+    assert code == 2 and out == ""
+    assert key in err and "100000" in err
+
+
+def test_counts_at_the_bound_are_accepted():
+    cfg = {"oracle_check": {"alpha_points": 10, "d_points": 10_000},
+           "optimize": {"restarts": 100_000}}
+    assert cli._counts(cfg, "oracle_check.alpha_points",
+                       "oracle_check.d_points") == [10, 10_000]
+    assert cli._counts(cfg, "optimize.restarts") == [100_000]
+
+
 @pytest.mark.parametrize("command", ["shift", "resonance"])
 @pytest.mark.parametrize("state, code", [
     (["state.family=cat", "state.beta=2.0"], 0),

@@ -254,6 +254,18 @@ def test_drift_that_is_not_positive_is_a_config_error(fn, eps, alpha):
         fn(GaussianState.vacuum(), eps, alpha=alpha)
 
 
+@pytest.mark.parametrize("allow", [False, True])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_epsilon_that_is_not_finite_is_named(eps, allow):
+    # NaN fails every comparison, so the range checks alone let it through
+    message = f"epsilon={eps} must be finite"
+    for fn in (find_working_point, recoil_sensitivity):
+        with pytest.raises(ConfigError, match=message):
+            fn(GaussianState.vacuum(), eps, allow_large_epsilon=allow)
+    with pytest.raises(ConfigError, match=message):
+        phase_mismatch_sensitivity(1.0, 0.1, eps)
+
+
 def test_snr_basics():
     assert snr(0.0, 0.5) == 0.0
     assert snr(0.3, 0.5, 4) == pytest.approx(2.0 * snr(0.3, 0.5, 1))

@@ -24,7 +24,7 @@ def test_star_import_resolves_every_exported_name():
 
 def test_the_propagator_cache_reports_its_statistics():
     # recoilbench/worker.py reads this in traced rounds; the test goes when
-    # the benchmark makes that lookup optional (ROADMAP Direction 5)
+    # the benchmark makes that lookup optional (ROADMAP Direction 6)
     info = recoilspec.bloch._cached_propagator.cache_info()
     assert info.maxsize > 0 and info.currsize <= info.maxsize
 

@@ -13,7 +13,7 @@ from scipy.special import eval_genlaguerre
 
 from recoilspec import (CatState, ConfigError, FPParams, FockSuperposition,
                         GaussianState, GridUnderflowError, overlap_after,
-                        overlap_pde, overlap_pde_batch)
+                        overlap_pde_batch)
 from recoilspec import pdeoracle
 from recoilspec.pdeoracle import (GridSpec, _EDGES, _fine_steps,
                                   _fock_wavefunction, _osc_wavenumber,
@@ -41,26 +41,28 @@ def _richardson(w0, p, fp, n_steps=None, osc_k=0.0):
 def test_vacuum_point():
     fp = FPParams(alpha=1.0, d=0.1, tbar=1.0)
     vac = GaussianState.vacuum()
-    assert overlap_pde(vac, fp) == pytest.approx(overlap_after(vac, fp), abs=1e-4)
+    assert overlap_pde_batch(vac, [fp])[0] == pytest.approx(
+        overlap_after(vac, fp), abs=1e-4)
 
 
 def test_squeezed_point():
     fp = FPParams(alpha=0.8, d=0.15, tbar=1.0)
     sq = GaussianState.squeezed(1.44)
-    assert overlap_pde(sq, fp) == pytest.approx(overlap_after(sq, fp), abs=1e-4)
+    assert overlap_pde_batch(sq, [fp])[0] == pytest.approx(
+        overlap_after(sq, fp), abs=1e-4)
 
 
 def test_cat_reference_point():
     cat = CatState(2.0)
     fp = FPParams(alpha=0.5, d=0.05, tbar=1.0)
-    assert overlap_pde(cat, fp) == pytest.approx(
+    assert overlap_pde_batch(cat, [fp])[0] == pytest.approx(
         overlap_after(cat, fp), abs=1e-4)
 
 
 def test_fock_superposition_reference_point():
     f24 = FockSuperposition.from_dict({2: 0.5, 4: math.sqrt(3) / 2})
     fp = FPParams(alpha=0.3, d=0.03, tbar=1.0)
-    assert overlap_pde(f24, fp) == pytest.approx(
+    assert overlap_pde_batch(f24, [fp])[0] == pytest.approx(
         overlap_after(f24, fp), abs=1e-4)
 
 
@@ -87,35 +89,37 @@ def test_fock_superposition_diffusion_free_batch():
 def test_damped_gaussian_point():
     sq = GaussianState.squeezed(0.7)
     fp = FPParams(alpha=0.8, d=0.2, tbar=1.0, g=0.05)
-    assert overlap_pde(sq, fp) == pytest.approx(
+    assert overlap_pde_batch(sq, [fp])[0] == pytest.approx(
         overlap_after(sq, fp), abs=1e-4)
 
 
 def test_zero_time_returns_unity():
     fp = FPParams(alpha=1.5, d=0.2, tbar=0.0)
-    assert overlap_pde(GaussianState.vacuum(), fp) == pytest.approx(1.0, abs=1e-6)
+    assert overlap_pde_batch(GaussianState.vacuum(), [fp])[0] == pytest.approx(
+        1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("n_steps", [0, -3, 3, 2.5])
 def test_bad_step_count_is_rejected(n_steps):
     with pytest.raises(ConfigError, match="n_steps"):
-        overlap_pde(GaussianState.vacuum(),
-                    FPParams(alpha=1.0, d=0.1, tbar=1.0), n_steps=n_steps)
+        overlap_pde_batch(GaussianState.vacuum(),
+                          [FPParams(alpha=1.0, d=0.1, tbar=1.0)],
+                          n_steps=n_steps)
 
 
 def test_two_steps_is_the_smallest_step_count():
     """One fine run of two steps and one coarse run of one step."""
     fp = FPParams(alpha=1.0, d=0.1, tbar=1.0)
     vac = GaussianState.vacuum()
-    assert overlap_pde(vac, fp, n_steps=2) == pytest.approx(
+    assert overlap_pde_batch(vac, [fp], n_steps=2)[0] == pytest.approx(
         overlap_after(vac, fp), abs=1e-2)
 
 
 def test_undersized_grid_is_rejected():
     grid = GridSpec(half_width_x=1.0, half_width_p=1.0, nx=41, np_=41)
     with pytest.raises(GridUnderflowError):
-        overlap_pde(GaussianState.squeezed(1.44),
-                    FPParams(alpha=0.5, d=0.05, tbar=1.0), grid=grid)
+        overlap_pde_batch(GaussianState.squeezed(1.44),
+                          [FPParams(alpha=0.5, d=0.05, tbar=1.0)], grid=grid)
 
 
 def test_one_coarse_step_is_named_with_its_setting():
@@ -284,7 +288,7 @@ def test_p_even_states_propagate_only_their_rank(state, monkeypatch):
         return steps(w0, op, dt)
 
     monkeypatch.setattr(pdeoracle, "_steps", record)
-    overlap_pde(state, fp)
+    overlap_pde_batch(state, [fp])
     assert len(rows) == 2
     even = np.max(np.abs(w0 - w0[:, ::-1])) < 1e-12
     assert rows == [rank, rank] if even else min(rows) > rank
@@ -370,7 +374,7 @@ def test_banded_solve_matches_superlu(state, fp):
 def _factor_overlap(state, fp, run):
     """Remain probability, contracted as in overlap_pde_batch, after `run`
     maps the SVD momentum factors of the initial Wigner matrix to time
-    fp.tbar on overlap_pde's default grid."""
+    fp.tbar on overlap_pde_batch's default grid."""
     x, p = default_grid(state, fp).axes()
     dx, dp = x[1] - x[0], p[1] - p[0]
     u, s, v = np.linalg.svd(initial_wigner(state, x, p), full_matrices=False)
@@ -421,7 +425,7 @@ def test_extrapolation_beats_plain_crank_nicolson(state, alpha):
     osc_k = _osc_wavenumber(state)
     plain = _factor_overlap(state, fp, lambda v, p: _crank_nicolson(
         v, _pde_operator(p, fp), fp.tbar, _plain_default_steps(p, fp, osc_k)))
-    assert abs(overlap_pde(state, fp) - want) < abs(plain - want)
+    assert abs(overlap_pde_batch(state, [fp])[0] - want) < abs(plain - want)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -450,8 +454,8 @@ def test_coarse_grid_with_excess_mass_is_rejected(np_):
     (1.17 at 7 points); the mass check is two-sided."""
     grid = GridSpec(half_width_x=6.0, half_width_p=6.0, nx=41, np_=np_)
     with pytest.raises(GridUnderflowError, match="initial Wigner mass 1"):
-        overlap_pde(GaussianState.vacuum(),
-                    FPParams(alpha=0.5, d=0.1, tbar=1.0), grid=grid)
+        overlap_pde_batch(GaussianState.vacuum(),
+                          [FPParams(alpha=0.5, d=0.1, tbar=1.0)], grid=grid)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.7, 2.0, 3.5])
@@ -584,7 +588,7 @@ def test_fock_y_grid_keeps_its_base_nodes_up_to_fock_2():
 def test_high_fock_levels_match_production(n):
     state = FockSuperposition.fock(n)
     fp = FPParams(alpha=0.2, d=0.02, tbar=1.0)
-    assert overlap_pde(state, fp) == pytest.approx(
+    assert overlap_pde_batch(state, [fp])[0] == pytest.approx(
         overlap_after(state, fp), abs=1e-4)
 
 

@@ -2,6 +2,7 @@
 independent moment integration and cross-route consistency checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -495,6 +496,21 @@ def test_non_finite_squeezing_phase_raises_config_error(phase):
         GaussianState.squeezed(1.0, phase)
     with pytest.raises(ConfigError, match="phase"):
         phase_mismatch_sensitivity(1.0, phase, 0.1)
+
+
+@pytest.mark.parametrize("r, message", [
+    (math.nan, "must be finite"), (math.inf, "must be finite"),
+    (-math.inf, "must be finite"), (400.0, "overflows the covariance"),
+    (-400.0, "overflows the covariance"),
+    (1e308, "overflows the covariance"),       # finite r, infinite 2r
+])
+def test_squeezing_r_that_is_not_finite_is_told_from_an_overflow(r, message):
+    with pytest.raises(ConfigError, match=re.escape(f"r={r} {message}")):
+        GaussianState.squeezed(r)
+    if not r < 0.0:                            # a negative r is refused first
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"r={r} {message}")):
+            phase_mismatch_sensitivity(r, 0.1, 0.1)
 
 
 @pytest.mark.parametrize("make", [

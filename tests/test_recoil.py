@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from recoilspec import (PulseParams, compute_coefficients, correlation_yy,
-                        detuning_slopes, solve_bloch)
+from recoilspec import PulseParams, compute_coefficients, detuning_slopes
+from recoilspec.bloch import _REGRESS, _Z0, _cached_propagator
 from recoilspec.recoil import coefficients_with_slopes
 
 TWO_PI = 2.0 * math.pi
@@ -17,18 +17,34 @@ SQRT2 = math.sqrt(2.0)
 KEYS = ("alpha_x", "alpha_p", "d_xx", "d_pp", "d_xp", "n1")
 
 
+def _sigma_y(p: PulseParams, t):
+    """<sigma_y(t)> after a ground-state start, from the pointwise
+    propagator e^{tA} of the pulse's affine Bloch generator."""
+    return _cached_propagator(p)(np.asarray(t, dtype=float), _Z0)[..., 1]
+
+
+def _correlation_yy(p: PulseParams, t, t_prime):
+    """Re<sigma_y(t) sigma_y(t')> for t' <= t, broadcast, by the quantum
+    regression theorem on the same propagator."""
+    t, t_prime = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                     np.asarray(t_prime, dtype=float))
+    prop = _cached_propagator(p)
+    start = prop(t_prime, _Z0) @ _REGRESS.T   # exact in any order: 0s and 1s
+    return prop(t - t_prime, start)[..., 1][()]
+
+
 def _gauss_legendre_coefficients(p: PulseParams, n: int) -> dict:
     """Tensor Gauss-Legendre oracle: n outer nodes on [0, tau], n inner
     nodes mapped onto [0, t] for each outer node t; sigma_y and its
-    regression correlator from the pointwise Bloch functions."""
+    regression correlator from the pointwise propagator."""
     nu = p.mode_freq
     x, w = np.polynomial.legendre.leggauss(n)
     t = 0.5 * p.pulse_duration * (x + 1.0)
     wt = 0.5 * p.pulse_duration * w
-    sy = solve_bloch(p, t)[:, 1]
+    sy = _sigma_y(p, t)
     t_in = 0.5 * t[:, None] * (x[None, :] + 1.0)
     w_in = 0.5 * t[:, None] * w[None, :]
-    corr = correlation_yy(p, t[:, None], t_in)
+    corr = _correlation_yy(p, t[:, None], t_in)
     wgt = wt[:, None] * w_in * corr
     so, co = np.sin(nu * t)[:, None], np.cos(nu * t)[:, None]
     si, ci = np.sin(nu * t_in), np.cos(nu * t_in)
@@ -65,7 +81,7 @@ def test_drift_against_trapezoid_oracle(dipole_pulse):
     # dense uniform-grid trapezoid is a different integration scheme entirely
     n = 4001
     t = np.linspace(0.0, dipole_pulse.pulse_duration, n)
-    sy = solve_bloch(dipole_pulse, t)[:, 1]
+    sy = _sigma_y(dipole_pulse, t)
     pref = dipole_pulse.lamb_dicke * dipole_pulse.rabi / SQRT2
     ref = abs(-pref * np.trapezoid(np.cos(dipole_pulse.mode_freq * t) * sy, t))
     got = compute_coefficients(dipole_pulse).alpha_p
@@ -78,7 +94,7 @@ def test_diffusion_against_trapezoid_oracle(dipole_pulse):
     cos_t = np.cos(dipole_pulse.mode_freq * t)
     inner = np.zeros(n)
     for i in range(1, n):
-        corr = correlation_yy(dipole_pulse, t[i], t[: i + 1])
+        corr = _correlation_yy(dipole_pulse, t[i], t[: i + 1])
         inner[i] = cos_t[i] * np.trapezoid(cos_t[: i + 1] * corr, t[: i + 1])
     double = np.trapezoid(inner, t)
     eta2o2 = (dipole_pulse.lamb_dicke * dipole_pulse.rabi) ** 2
@@ -136,7 +152,7 @@ def test_momentum_diffusion_positive(dipole_pulse):
 
 def test_photon_number_positive_on_resonance(dipole_pulse):
     t = np.linspace(0.0, dipole_pulse.pulse_duration, 4001)
-    sy = solve_bloch(dipole_pulse, t)[:, 1]
+    sy = _sigma_y(dipole_pulse, t)
     ref = 0.5 * dipole_pulse.rabi * np.trapezoid(sy, t)
     c = compute_coefficients(dipole_pulse)
     assert c.n1 > 0.0
@@ -167,13 +183,6 @@ def test_reference_scenario_values_and_runtime(dipole_pulse):
 def test_drift_slope_sign_on_upper_flank(dipole_pulse):
     # above resonance the drift magnitude falls with detuning
     assert detuning_slopes(dipole_pulse)[0] < 0.0
-
-
-def test_per_second_scaling(dipole_pulse):
-    c = compute_coefficients(dipole_pulse)
-    rate = dipole_pulse.mode_freq / TWO_PI
-    per_s = c.per_second(dipole_pulse)
-    assert per_s["alpha_p"] == pytest.approx(c.alpha_p * rate)
 
 
 # The pulses of the 40-digit reference, as overrides of `dipole_pulse`.
