@@ -10,8 +10,11 @@ differences on a p grid of spacing feature/16 (second and fourth order on
 the two rows next to each Dirichlet edge) discretise the right-hand side.
 The momentum factors of a thin SVD of the initial Wigner matrix are
 propagated, then the remain probability is the 2 pi weighted trapezoidal
-overlap with the initial Wigner function.  This route shares nothing with
-the closed-form and characteristic-function evaluations and serves as
+overlap with the initial Wigner function.  That matrix comes as a
+product X P (`wigner_factors`), and the SVD is taken from the factors: a
+separable state (a Gaussian with a diagonal covariance, a cat) never forms
+the full matrix, and any other state is X = I.  This route shares nothing
+with the closed-form and characteristic-function evaluations and serves as
 their cross-check.
 
 Each leg of the extrapolation, n steps of Crank-Nicolson, overlaps as
@@ -28,7 +31,9 @@ b = floor(n/2) and the run takes half the steps: exact for the interior
 stencil, broken by the graded rows next to the edges only in the deep
 tails.  With damping the drift g p depends on p and the identity fails;
 there b = n, the ket takes all n steps and the bra is R v at step 0, so
-the overlap is <v, W M^n v> itself.  The mass guard checks the ket and the
+the overlap is <v, W M^n v> itself.  So without damping no propagated
+state goes more than one coarse step past tbar/2, and the default grid of
+such a batch is sized for tbar/2.  The mass guard checks the ket and the
 reflected bra of both legs.
 """
 
@@ -104,15 +109,9 @@ def wigner_gaussian(s: GaussianState, x, p):
     return quad
 
 
-def wigner_cat(c: CatState, x, p):
-    """One (nx x 2) @ (2 x np) product of 1-D factors: the two lobes share
-    e^{-p^2}, and the fringe term is e^{-x^2} times e^{-p^2} cos(2 s p)."""
-    s = math.sqrt(2.0) * c.beta
-    gp = np.exp(-p**2)
-    scale = c.normalization**2 / math.pi
-    xs = np.stack((scale * (np.exp(-(x - s) ** 2) + np.exp(-(x + s) ** 2)),
-                   2.0 * scale * np.exp(-x**2)), axis=1)
-    return xs @ np.stack((gp, gp * np.cos(2.0 * s * p)))
+def _normal(z, mean: float, var: float) -> np.ndarray:
+    return np.exp(-0.5 * (z - mean) ** 2 / var) / math.sqrt(
+        2.0 * math.pi * var)
 
 
 def _fock_wavefunction(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -155,21 +154,44 @@ def wigner_fock(f: FockSuperposition, x, p):
     h *= np.conj(_fock_wavefunction(f.coeffs, x[:, None] - y))
     h *= weight
     arg = np.multiply.outer(2.0 * y, p)
-    w = h.real @ np.cos(arg)
-    if h.imag.any():
-        np.sin(arg, out=arg)
-        w += h.imag @ arg
+    # the cosine overwrites arg, so the sine term is taken first
+    sine = h.imag @ np.sin(arg) if h.imag.any() else None
+    w = h.real @ np.cos(arg, out=arg)
+    if sine is not None:
+        w += sine
     return w
 
 
-def initial_wigner(state: MotionalState, x, p):
+def wigner_factors(state: MotionalState, x, p):
+    """(X, P) with the initial Wigner matrix W0 = X @ P.
+
+    A Gaussian with a diagonal covariance is the outer product of its x and
+    p marginals (rank 1).  A cat is one (nx x 2) @ (2 x np) product: the two
+    lobes share e^{-p^2}, and the fringe term is e^{-x^2} times
+    e^{-p^2} cos(2 s p).  A correlated Gaussian or a Fock superposition is
+    X = I and P = W0.
+    """
     if isinstance(state, GaussianState):
-        return wigner_gaussian(state, x, p)
+        if state.cov[0, 1] == 0.0:
+            return (_normal(x, state.mean[0], state.cov[0, 0])[:, None],
+                    _normal(p, state.mean[1], state.cov[1, 1])[None, :])
+        return np.eye(len(x)), wigner_gaussian(state, x, p)
     if isinstance(state, CatState):
-        return wigner_cat(state, x, p)
+        s = math.sqrt(2.0) * state.beta
+        gp = np.exp(-p**2)
+        scale = state.normalization**2 / math.pi
+        return (np.stack((scale * (np.exp(-(x - s) ** 2)
+                                   + np.exp(-(x + s) ** 2)),
+                          2.0 * scale * np.exp(-x**2)), axis=1),
+                np.stack((gp, gp * np.cos(2.0 * s * p))))
     if isinstance(state, FockSuperposition):
-        return wigner_fock(state, x, p)
+        return np.eye(len(x)), wigner_fock(state, x, p)
     raise ConfigError(f"unsupported state type {type(state).__name__}")
+
+
+def initial_wigner(state: MotionalState, x, p):
+    xf, pf = wigner_factors(state, x, p)
+    return xf @ pf
 
 
 def default_grid(state: MotionalState, fp: FPParams) -> GridSpec:
@@ -401,11 +423,16 @@ def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
                       n_steps: int | None = None) -> list[float]:
     """Remain probabilities for several drift/diffusion settings.
 
-    The grid and initial Wigner function are built once; without an explicit
-    grid it is sized for the worst-case drift and diffusion in the batch.
-    The PDE acts on p only, so with the thin SVD W0 = U S V only the
-    momentum factors V are propagated, W(t) = U S V(t), and the trapezoidal
-    overlap and mass contract exactly through the small factor matrices.
+    `fps` is read once, and each entry must be an `FPParams`.  The grid and
+    initial Wigner function are built once; without an explicit grid it is
+    sized for the worst-case drift and diffusion in the batch, over half
+    the longest tbar when no setting is damped (the ket and the reflected
+    bra stop at most one coarse step past tbar/2) and over the whole
+    longest tbar otherwise.  The PDE acts on p only, so with the thin SVD
+    W0 = U S V only the momentum factors V are propagated, W(t) = U S V(t),
+    and the trapezoidal overlap and mass contract exactly through the small
+    factor matrices.  The SVD is taken from the factors W0 = X P of
+    `wigner_factors`.
     Each leg of the Richardson extrapolation (4 P(n) - P(n/2)) / 3, for the
     fine step count n (`n_steps`, even and at least 2; by default
     `_fine_steps`), is one Crank-Nicolson run: the ket is read after b
@@ -415,32 +442,39 @@ def overlap_pde_batch(state: MotionalState, fps: list[FPParams],
     The ket and the reflected bra of both legs must keep the mass on the
     grid, and the initial Wigner mass must lie within _MASS_TOL of 1.
     """
+    fps = list(fps)
+    for f in fps:
+        if not isinstance(f, FPParams):
+            raise ConfigError(
+                f"settings must be FPParams, got {type(f).__name__}")
     if not fps:
         return []
     if grid is None:
+        tbar = max(f.tbar for f in fps)
         worst = FPParams(alpha=max(abs(f.alpha) for f in fps),
                          d=max(f.d for f in fps),
-                         tbar=max(f.tbar for f in fps),
+                         tbar=tbar if any(f.g for f in fps) else 0.5 * tbar,
                          g=0.0)
         grid = default_grid(state, worst)
     x, p = grid.axes()
     wx = _trapezoid_weights(x)
     wp = _trapezoid_weights(p)
-    w0 = initial_wigner(state, x, p)
-    mass = float(wx @ w0 @ wp)
+    xf, pf = wigner_factors(state, x, p)
+    mass = float((wx @ xf) @ (pf @ wp))
     if not abs(mass - 1.0) <= _MASS_TOL:
         raise GridUnderflowError(
             f"initial Wigner mass {mass:.8f} is not within {_MASS_TOL:g} of 1;"
             " enlarge or refine the grid")
-    # W0 is short and wide (nx << np_): with W0^T = Q R and the SVD
-    # R^T = U S Vr of the small factor, W0 = U S V with V = Vr Q^T =
-    # S^-1 U^T W0 over the kept rank, so Q is never formed.
-    u, s, _ = np.linalg.svd(np.linalg.qr(w0.T, mode="r").T,
+    # W0 = X P is short and wide (nx << np_): with P^T = Q R and the SVD
+    # X R^T = U S Vr of the small factor, W0 = U S V with V = Vr Q^T =
+    # S^-1 (U^T X) P over the kept rank, so neither Q nor, for a separable
+    # state, W0 is formed.
+    u, s, _ = np.linalg.svd(xf @ np.linalg.qr(pf.T, mode="r").T,
                             full_matrices=False)
     rank = int(np.count_nonzero(s > _SVD_RTOL * s[0]))
     u, s = u[:, :rank], s[:rank]
-    sv = u.T @ w0
-    del w0
+    sv = (u.T @ xf) @ pf
+    del xf, pf
     us = u * s
     gram_x = us.T @ (wx[:, None] * us)
     mass_x = wx @ us

@@ -123,15 +123,70 @@ def test_undersized_grid_is_rejected():
 
 
 def test_one_coarse_step_is_named_with_its_setting():
-    """The state stays on the grid, but the coarse run's single step of
-    dt = 1 leaks a dispersive tail to the edge: the message names the run,
-    the setting and both causes."""
+    """The state stays on the grid, sized here for the full drift, but the
+    coarse run's single step of dt = 1 leaks a dispersive tail to the edge:
+    the message names the run, the setting and both causes."""
+    vac = GaussianState.vacuum()
+    fp = FPParams(alpha=2.0, d=0.0, tbar=1.0)
     with pytest.raises(GridUnderflowError, match=(
             r"propagated Wigner mass 0\.99816368 in the 1-step run"
             r" \(dt = 1\) at alpha = 2, d = 0, g = 0, tbar = 1: the state"
             r" left the grid, or the step is too coarse for it")):
+        overlap_pde_batch(vac, [fp], grid=default_grid(vac, fp), n_steps=2)
+
+
+def test_one_coarse_step_leaks_more_on_the_half_time_grid():
+    """The default grid at g = 0 is sized for half the drift, so the same
+    tail reaches its nearer edge with more mass."""
+    with pytest.raises(GridUnderflowError, match=(
+            r"propagated Wigner mass 0\.99501778 in the 1-step run"
+            r" \(dt = 1\) at alpha = 2, d = 0, g = 0, tbar = 1: the state"
+            r" left the grid, or the step is too coarse for it")):
         overlap_pde_batch(GaussianState.vacuum(),
                           [FPParams(alpha=2.0, d=0.0, tbar=1.0)], n_steps=2)
+
+
+def test_settings_are_read_once():
+    fps = [FPParams(alpha=1.0, d=0.1, tbar=1.0),
+           FPParams(alpha=0.5, d=0.0, tbar=2.0)]
+    vac = GaussianState.vacuum()
+    assert overlap_pde_batch(vac, (f for f in fps)) == overlap_pde_batch(
+        vac, fps)
+    assert overlap_pde_batch(vac, iter([])) == []
+
+
+@pytest.mark.parametrize("entry, name", [
+    ((1.0, 0.1, 1.0), "tuple"), ({"alpha": 1.0}, "dict"), (None, "NoneType"),
+])
+def test_setting_that_is_not_fpparams_is_named(entry, name):
+    with pytest.raises(ConfigError, match=f"settings must be FPParams, got"
+                       f" {name}$"):
+        overlap_pde_batch(GaussianState.vacuum(),
+                          [FPParams(alpha=1.0, d=0.1, tbar=1.0), entry])
+
+
+@pytest.mark.parametrize("fps, tbar", [
+    ([FPParams(alpha=1.0, d=0.1, tbar=1.0),
+      FPParams(alpha=-1.5, d=0.3, tbar=2.0)], 1.0),
+    ([FPParams(alpha=1.0, d=0.1, tbar=1.0),
+      FPParams(alpha=-1.5, d=0.3, tbar=2.0, g=0.05)], 2.0),
+    ([FPParams(alpha=1.0, d=0.1, tbar=2.0, g=-2e-3),
+      FPParams(alpha=-1.5, d=0.3, tbar=1.0)], 2.0),
+], ids=["undamped", "damped", "damped-first"])
+def test_default_grid_is_sized_for_half_the_time_without_damping(
+        fps, tbar, monkeypatch):
+    """At g = 0 the ket and the reflected bra stop near tbar/2, so the grid
+    takes half the longest tbar; any damped setting keeps the full tbar."""
+    seen = []
+    grid = pdeoracle.default_grid
+
+    def record(state, fp):
+        seen.append(fp)
+        return grid(state, fp)
+
+    monkeypatch.setattr(pdeoracle, "default_grid", record)
+    overlap_pde_batch(GaussianState.vacuum(), fps)
+    assert seen == [FPParams(alpha=1.5, d=0.3, tbar=tbar)]
 
 
 def test_state_that_drifts_off_the_grid_is_rejected():
@@ -470,6 +525,84 @@ def test_cat_wigner_equals_the_grid_formula(beta):
         + 2.0 * np.exp(-xx**2 - pp**2) * np.cos(2.0 * s * pp))
     got = initial_wigner(cat, x, p)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+FACTOR_CASES = [
+    (GaussianState.vacuum(), 1), (GaussianState.squeezed(1.44), 1),
+    (GaussianState([0.3, -1.0], GaussianState.vacuum().cov), 1),
+    (CatState(2.0), 2), (GaussianState.squeezed(0.5, phase=math.pi / 5), None),
+    (FockSuperposition.fock(2), None),
+    (FockSuperposition.from_dict({0: 1 / math.sqrt(2), 1: 1j / math.sqrt(2)}),
+     None),
+]
+FACTOR_IDS = ["vacuum", "squeezed", "displaced", "cat", "rotated-squeezed",
+              "fock2", "fock0+i1"]
+
+
+@pytest.mark.parametrize("state, rank", FACTOR_CASES, ids=FACTOR_IDS)
+def test_separable_states_are_built_from_1d_factors(state, rank):
+    """A diagonal Gaussian is one outer product and a cat two; the rest are
+    X = I and P = W0."""
+    x, p = default_grid(state, FPParams(alpha=1.1, d=0.3, tbar=1.0)).axes()
+    xf, pf = pdeoracle.wigner_factors(state, x, p)
+    if rank is None:
+        assert np.array_equal(xf, np.eye(len(x)))
+        assert pf.shape == (len(x), len(p))
+        return
+    assert xf.shape == (len(x), rank) and pf.shape == (rank, len(p))
+    if isinstance(state, GaussianState):
+        want = wigner_gaussian(state, x, p)
+        np.testing.assert_allclose(xf @ pf, want, rtol=0,
+                                   atol=1e-15 * np.max(want))
+
+
+def _dense_batch(state, fps, grid):
+    """overlap_pde_batch with the full initial Wigner matrix W0 in place of
+    its factors: the R of a QR of W0^T, the SVD of R^T and the momentum
+    factors U^T W0, then the same runs and contraction."""
+    x, p = grid.axes()
+    wx, wp = pdeoracle._trapezoid_weights(x), pdeoracle._trapezoid_weights(p)
+    w0 = initial_wigner(state, x, p)
+    u, s, _ = np.linalg.svd(np.linalg.qr(w0.T, mode="r").T,
+                            full_matrices=False)
+    rank = int(np.count_nonzero(s > 1e-13 * s[0]))
+    u, s = u[:, :rank], s[:rank]
+    sv = u.T @ w0
+    us = u * s
+    gram_x = us.T @ (wx[:, None] * us)
+    c, sq, q = np.linalg.svd(np.vstack((sv, sv[:, ::-1])),
+                             full_matrices=False)
+    keep = sq > 1e-13 * sq[0]
+    c, q = c[:, keep] * sq[keep], q[keep]
+    ket, bra = c[:rank] / s[:, None], c[rank:] / s[:, None]
+    out = []
+    for fp in fps:
+        fine = _fine_steps(p, fp, _osc_wavenumber(state), None)
+        op = _pde_operator(p, fp)
+        runs = []
+        for n in (fine, fine // 2):
+            qb, qa = pdeoracle._split_run(q, op, fp.tbar, n,
+                                          n if fp.g else n // 2)
+            vb, va = ket @ qb, bra @ qa
+            runs.append(np.sum(gram_x * ((va[:, ::-1] * wp) @ vb.T)))
+        out.append(float(2.0 * math.pi * (4.0 * runs[0] - runs[1]) / 3.0))
+    return out
+
+
+@pytest.mark.parametrize("g", [0.0, 0.05])
+@pytest.mark.parametrize("state, rank", FACTOR_CASES, ids=FACTOR_IDS)
+def test_factored_batch_equals_the_dense_route(state, rank, g):
+    """On an explicit grid the factors give the dense route's overlaps: the
+    same bits where X = I, within rounding for the separable states."""
+    fps = [FPParams(alpha=a, d=d, tbar=1.0, g=g)
+           for a, d in ((1.1, 0.3), (0.9, 0.0), (-0.5, 0.1))]
+    grid = default_grid(state, FPParams(alpha=1.1, d=0.3, tbar=1.0))
+    got = overlap_pde_batch(state, fps, grid=grid)
+    want = _dense_batch(state, fps, grid)
+    if rank is None:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=0, abs=1e-13)
 
 
 @pytest.mark.parametrize("alpha, d, g", [(0.7, 0.3, 0.05), (-1.2, 0.05, -0.2)])
